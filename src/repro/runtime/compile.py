@@ -52,6 +52,7 @@ pool declines (missing arrays, tiny trip counts, failed runtime check).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import re
@@ -60,6 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.analysis.normalize import LoopHeader, match_header
+from repro.ir import perfstats
 from repro.lang.astnodes import (
     ArrayAccess,
     Assign,
@@ -85,6 +87,7 @@ from repro.lang.astnodes import (
     UnOp,
     While,
 )
+from repro.runtime import faultplan
 from repro.runtime.interp import _MATH_FUNCS, Interpreter, InterpError, _apply_binop, run_program
 
 
@@ -269,6 +272,18 @@ def _pred_s(loop_key):
         return None
 
 
+def _bind(loc, names):
+    """Dispatch-site bindings: the subset of ``names`` defined in ``loc``.
+
+    Generated kernels pass ``locals()`` straight in instead of keeping it
+    in a local: the epilogue calls ``locals()`` again, which would copy
+    such a local into the same frame dict, a self-reference that keeps
+    every env array of a pool-dispatched call alive until the next
+    cyclic GC pass.
+    """
+    return {n: loc["v_" + n] for n in names if "v_" + n in loc}
+
+
 def _spec_ok(loop_key, reqs):
     """Speculative dispatch gate: every hypothesis must pass live inspection.
 
@@ -307,6 +322,7 @@ def _exec_namespace() -> Dict[str, Any]:
         "_time": time.perf_counter,
         "_wm": _wm_record,
         "_pred_s": _pred_s,
+        "_bind": _bind,
         "_spec_ok": _spec_ok,
         "_unknown_fn": _unknown_fn,
         "_MISSING": _MISSING,
@@ -586,6 +602,9 @@ class _Lowerer:
         self.loop_tiers: Dict[str, str] = {}
         self.loop_bails: Dict[str, str] = {}
         self._last_bail = ""
+        #: runtime diagnostics raised while lowering (refused dispatches);
+        #: recorded on every compile, cached or not
+        self.runtime_diags: List[Any] = []
         self._collect_names()
 
     # -- bookkeeping --------------------------------------------------------
@@ -1061,11 +1080,10 @@ class _Lowerer:
                 "reason": verdict.reason,
             }
             if verdict.classification == OVERLAPPING:
-                from repro import diagnostics
                 from repro.diagnostics import STATIC_RACE_DETECTED, Diagnostic
 
                 self.chunks.pop(key, None)
-                diagnostics.record_runtime(
+                self.runtime_diags.append(
                     Diagnostic(
                         STATIC_RACE_DETECTED,
                         f"parallel dispatch of {s.loop_id or key} refused: "
@@ -1094,10 +1112,7 @@ class _Lowerer:
         self.emit(f"if {cond}:")
         # bindings that are still undefined here (e.g. a private first
         # written inside the loop) are simply omitted from the dict
-        self.emit(f"    {bd} = {{}}")
-        self.emit("    _loc = locals()")
-        self.emit(f"    for _n in {bnames}:")
-        self.emit(f"        if 'v_' + _n in _loc: {bd}[_n] = _loc['v_' + _n]")
+        self.emit(f"    {bd} = _bind(locals(), {bnames})")
         wv = self._emit_weights(s, h, lo, hi)
         self.emit(
             f"    {pr} = _pool.run_loop({key!r}, {lo}, {hi}, {bd}, {arr_code}, "
@@ -2155,6 +2170,7 @@ class CompiledProgram:
         fused_groups: Optional[List[Dict[str, Any]]] = None,
         lowered_decisions: Optional[Dict[str, Any]] = None,
         chunk_meta: Optional[Dict[str, Dict[str, Any]]] = None,
+        runtime_diags: Sequence[Any] = (),
     ):
         self.prog = prog
         self.fn = fn
@@ -2179,6 +2195,8 @@ class CompiledProgram:
         self.fused_groups = list(fused_groups or [])
         #: decisions keyed by *lowered* loop_ids (fused ids included)
         self.lowered_decisions = dict(lowered_decisions or {})
+        #: runtime diagnostics lowering raised (refused dispatches)
+        self.runtime_diags = tuple(runtime_diags)
         digest = hashlib.sha256(source.encode())
         for k in sorted(chunks):
             digest.update(chunks[k].encode())
@@ -2224,6 +2242,15 @@ class CompiledProgram:
         return out
 
 
+#: lowered artifacts keyed by :func:`_lowering_key`; values are
+#: ``[CompiledProgram, linted]``.  Entries are never handed out directly:
+#: every caller gets a private :func:`_shell`.  LRU-bounded
+#: (``REPRO_CACHE_MAX_ENTRIES``), emptied by ``perfstats.clear_caches``.
+_LOWERED_CACHE: perfstats.BoundedCache = perfstats.BoundedCache()
+
+perfstats.register_cache("lowered", _LOWERED_CACHE.__len__, _LOWERED_CACHE.clear)
+
+
 def compile_program(
     prog: Program,
     decisions: Optional[Dict[str, Any]] = None,
@@ -2237,27 +2264,130 @@ def compile_program(
 ) -> CompiledProgram:
     """Lower ``prog``; on any lowering failure return an interp-backed shim.
 
-    With ``REPRO_VERIFY_LOWERING`` set (test suites, CI) every successful
-    compile additionally passes the lowering lint
+    Lowering runs once per distinct input.  Compiled artifacts are cached
+    under :func:`_lowering_key`, and every call, the first included,
+    returns a private :func:`_shell` around the shared closure, so a
+    warm ``execute`` skips normalization, fusion and lowering.  Interp
+    fallbacks are not cached.  The ``lower`` fault seam fires once per
+    call, before the lookup.  Cache hits re-record the tier/fallback
+    histograms and the runtime diagnostics lowering raised.
+
+    With ``REPRO_VERIFY_LOWERING`` set (test suites, CI) every artifact
+    handed out has passed the lowering lint
     (:func:`repro.verify.lint.lint_lowering`): each vectorized or fused
-    loop's written arrays must agree with its static effect summary.  The
-    lint raises — miscompile evidence must fail loudly, not fall back.
+    loop's written arrays must agree with its static effect summary.  An
+    entry cached while the lint was off is linted on its first hit with
+    the lint on.  The lint raises — miscompile evidence must fail loudly,
+    not fall back.
     """
-    cp = _compile_program_impl(
-        prog,
-        decisions,
-        vectorize=vectorize,
-        trace=trace,
-        parallel=parallel,
-        parallel_loops=parallel_loops,
-        speculative_loops=speculative_loops,
-        fusions=fusions,
-    )
-    if cp.backend == "compiled" and os.environ.get("REPRO_VERIFY_LOWERING", "") not in ("", "0"):
+    if faultplan.enabled():
+        clause = faultplan.check("lower")
+        if clause is not None and clause.kind == "compile-fail":
+            reason = "injected fault: lowering failure"
+            _record_tiers({}, {}, reason)
+            return CompiledProgram(prog, None, "", "interp", reason, {}, trace)
+    active = [f for f in (fusions or ()) if getattr(f, "verified", True)]
+    flags = (vectorize, trace, parallel, _frozen(parallel_loops), _frozen(speculative_loops))
+    key = _lowering_key(prog, decisions, active, flags)
+    entry = _LOWERED_CACHE.get(key)
+    if entry is None:
+        cp = _compile_program_impl(
+            prog,
+            decisions,
+            vectorize=vectorize,
+            trace=trace,
+            parallel=parallel,
+            parallel_loops=parallel_loops,
+            speculative_loops=speculative_loops,
+            fusions=active,
+        )
+        if cp.backend != "compiled":
+            return cp
+        entry = _LOWERED_CACHE[key] = [cp, False]
+    cp, linted = entry
+    if not linted and os.environ.get("REPRO_VERIFY_LOWERING", "") not in ("", "0"):
         from repro.verify.lint import lint_lowering
 
         lint_lowering(cp)
-    return cp
+        entry[1] = True
+    _record_tiers(cp.loop_tiers, cp.loop_bails, None)
+    if cp.runtime_diags:
+        from repro import diagnostics
+
+        for diag in cp.runtime_diags:
+            diagnostics.record_runtime(diag)
+    return _shell(cp, prog, decisions)
+
+
+def _frozen(ids: Optional[Set[str]]) -> Optional[frozenset]:
+    return None if ids is None else frozenset(ids)
+
+
+def _decision_sig(d: Any) -> tuple:
+    """The fields of one decision that lowering and ``apply_fusion`` read."""
+    spec = getattr(d, "speculation", None)
+    cert = getattr(d, "certificate", None)
+    facts = getattr(cert, "facts", None)
+    return (
+        bool(getattr(d, "parallel", False)),
+        getattr(d, "index", None),
+        tuple(getattr(c, "text", str(c)) for c in getattr(d, "checks", ()) or ()),
+        tuple(getattr(d, "private", ()) or ()),
+        tuple(tuple(r) for r in getattr(d, "reductions", ()) or ()),
+        bool(getattr(d, "speculation_verified", False)),
+        tuple((sp.array, sp.required) for sp in getattr(spec, "speculative", ()) or ()),
+        # the static chunk-race verdict is rebuilt from these two
+        tuple(getattr(cert, "monotonic", ()) or ()),
+        frozenset(facts.items()) if facts is not None else None,
+    )
+
+
+def _lowering_key(
+    prog: Program,
+    decisions: Optional[Dict[str, Any]],
+    fusions: Sequence[Any],
+    flags: tuple,
+) -> tuple:
+    """Everything the lowered artifact depends on.
+
+    The structural digest leaves loop ids out, but the generated source
+    embeds them (``_wm``, ``_pred_s``, chunk keys), so they are keyed in
+    preorder alongside it.
+    """
+    from repro.lang.digest import node_fingerprint
+
+    steps = [getattr(f, "step", f) for f in fusions]
+    return (
+        node_fingerprint(prog),
+        tuple(n.loop_id for n in prog.walk() if isinstance(n, For)),
+        tuple(sorted((lid, _decision_sig(d)) for lid, d in (decisions or {}).items())),
+        tuple((tuple(s.loops), s.index, tuple(s.arrays)) for s in steps),
+        flags,
+    )
+
+
+def _shell(cp: CompiledProgram, prog: Program, decisions: Optional[Dict[str, Any]]) -> CompiledProgram:
+    """One caller's private view of a cached artifact.
+
+    Shares the exec'd closure, the sources, ``key`` and the read-only
+    ``lowered_prog``; every field a caller may mutate is a fresh copy, so
+    nothing done to a returned program reaches the next caller.
+    ``lowered_decisions`` maps the caller's own decisions plus the merged
+    contract of each applied fusion group.
+    """
+    out = copy.copy(cp)
+    out.prog = prog
+    out.chunks = dict(cp.chunks)
+    out.chunk_meta = copy.deepcopy(cp.chunk_meta)
+    out.loop_tiers = dict(cp.loop_tiers)
+    out.loop_bails = dict(cp.loop_bails)
+    out.fused_groups = copy.deepcopy(cp.fused_groups)
+    fused = {g["fused_id"] for g in cp.fused_groups}
+    out.lowered_decisions = dict(decisions or {})
+    out.lowered_decisions.update(
+        (lid, d) for lid, d in cp.lowered_decisions.items() if lid in fused
+    )
+    return out
 
 
 def _compile_program_impl(
@@ -2271,33 +2401,29 @@ def _compile_program_impl(
     speculative_loops: Optional[Set[str]] = None,
     fusions: Optional[Sequence[Any]] = None,
 ) -> CompiledProgram:
-    """Lower ``prog``; on any lowering failure return an interp-backed shim.
+    """Lower ``prog`` (uncached); on any lowering failure return an
+    interp-backed shim.
 
     The program is normalized first (Cetus-style, same pass the analysis
     runs), so ``i++`` headers and embedded side effects lower cleanly;
     the ``_temp_k`` scalars normalization introduces are internal and are
     not written back to the returned environment.
 
-    ``fusions`` (checker-verified :class:`FusionDecision`-likes from
+    ``fusions`` (the verified :class:`FusionDecision`-likes from
     :func:`repro.parallelizer.driver.parallelize`) is opt-in: when given,
-    verified groups are fused before lowering.  A fused loop that bails to
+    those groups are fused before lowering.  A fused loop that bails to
     the scalar tier is demoted — the group recompiles unfused — so fusion
     can only ever trade up.
     """
     from repro.analysis.normalize import normalize_program
 
     try:
-        from repro.runtime import faultplan
-
-        if faultplan.enabled():
-            clause = faultplan.check("lower")
-            if clause is not None and clause.kind == "compile-fail":
-                raise CompileError("injected fault: lowering failure")
         original_names = _names_in(prog)
         normalized = normalize_program(prog)
         eff_decisions = decisions
         applied_groups: List[Dict[str, Any]] = []
-        active = [f for f in (fusions or ()) if getattr(f, "verified", True)]
+        runtime_diags: List[Any] = []
+        active = list(fusions or ())
         while True:
             lowered = normalized
             eff_decisions = decisions
@@ -2318,6 +2444,7 @@ def _compile_program_impl(
                 speculative_loops=speculative_loops,
             )
             source = low.lower_program()
+            runtime_diags += low.runtime_diags
             if applied_groups:
                 # tier guard: a fused loop that fell to scalar lowers the
                 # whole group below its unfused tiers — demote and retry
@@ -2344,13 +2471,13 @@ def _compile_program_impl(
         exec(code, ns)
         for key, chunk_src in low.chunks.items():
             exec(compile(chunk_src, f"<repro-chunk-{key}>", "exec"), ns)
-        _record_tiers(low.loop_tiers, low.loop_bails, None)
         return CompiledProgram(
             prog, ns["_kernel"], source, "compiled", None, dict(low.chunks), trace,
             loop_tiers=low.loop_tiers, loop_bails=low.loop_bails,
             lowered_prog=lowered, fused_groups=applied_groups,
             lowered_decisions=dict(eff_decisions or {}),
             chunk_meta=dict(low.chunk_meta),
+            runtime_diags=runtime_diags,
         )
     except CompileError as exc:
         _record_tiers({}, {}, str(exc))
@@ -2374,8 +2501,6 @@ def _record_tiers(
 ) -> None:
     """Feed the perfstats tier/fallback histograms (advisory, never raises)."""
     try:
-        from repro.ir import perfstats
-
         if interp_fallback is not None:
             perfstats.record_tier("interp-fallback")
             perfstats.record_fallback(interp_fallback)

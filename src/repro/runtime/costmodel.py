@@ -441,15 +441,16 @@ def _inspect_seconds(cal: Calibration, d, env: Dict[str, Any]) -> float:
     """Predicted cost of one speculative inspection pass for loop ``d``.
 
     The inspector is a vectorized ``np.diff`` scan over each hypothesized
-    index array, so the vectorized tier's calibrated element rate is the
-    right price; arrays missing from ``env`` contribute nothing (the
-    dispatch condition would fail before inspecting them anyway).
+    index array, so the vectorized tier's calibrated rate (seconds per
+    element) is the right price; arrays missing from ``env`` contribute
+    nothing (the dispatch condition would fail before inspecting them
+    anyway).
     """
     n = 0
     for sp in getattr(getattr(d, "speculation", None), "speculative", ()) or ():
         arr = env.get(sp.array)
         n += int(getattr(arr, "size", 0) or 0)
-    return cal.overhead("vectorized") + n / max(cal.rate("vectorized"), 1.0)
+    return cal.overhead("vectorized") + n * cal.rate("vectorized")
 
 
 def program_prefers_interp(plans: List[LoopPlan]) -> bool:

@@ -16,7 +16,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.workloads.sparse import CSRMatrix, banded_csr
+from repro.workloads.sparse import CSRMatrix, banded_csr, stable_seed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +62,7 @@ def amg_matrix(ds: AMGDataset, small: bool = False) -> CSRMatrix:
     """
     g = 8 if small else ds.grid
     n = g * g * g
-    return banded_csr(n, half_bandwidth=13, seed=hash(ds.name) % (2**31))
+    return banded_csr(n, half_bandwidth=13, seed=stable_seed(ds.name))
 
 
 def laplacian27_csr(g: int, seed: int = 0) -> CSRMatrix:

@@ -15,6 +15,7 @@ All generators are deterministic given a seed.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from typing import Tuple
 
 import numpy as np
@@ -65,6 +66,15 @@ class CSRMatrix:
         assert len(self.data) == self.nnz
         if self.nnz:
             assert self.indices.min() >= 0 and self.indices.max() < self.n_cols
+
+
+def stable_seed(name: str) -> int:
+    """A generator seed derived from ``name`` alone.
+
+    ``hash(str)`` is randomized per process (``PYTHONHASHSEED``), so it
+    cannot seed inputs that must be the same in every run.
+    """
+    return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:4], "big") % (2**31)
 
 
 def _fill_from_row_counts(

@@ -27,7 +27,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.workloads.sparse import row_counts_only
+from repro.workloads.sparse import row_counts_only, stable_seed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +62,7 @@ def suitesparse_profile(name: str, axis: str = "col") -> np.ndarray:
     p = SUITESPARSE_PROFILES[name]
     n = p.n_cols if axis == "col" else p.n_rows
     mean = p.nnz / n
-    counts = row_counts_only(p.kind, n, mean, p.sigma, seed=abs(hash(name)) % (2**31))
+    counts = row_counts_only(p.kind, n, mean, p.sigma, seed=stable_seed(name))
     # rescale to hit the published nnz
     scale = p.nnz / counts.sum()
     counts = np.maximum(1, np.round(counts * scale).astype(np.int64))

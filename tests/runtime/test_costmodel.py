@@ -238,6 +238,25 @@ class TestPlanning:
         assert "compiled" in p.predicted and "interp" in p.predicted
         assert p.trips == n
 
+    def test_inspection_priced_per_element(self):
+        # calibrated rates are seconds per element: a scan of n elements
+        # costs overhead + n * rate, not n seconds
+        result = parallelize(
+            "for (i = 0; i < n; i++) { x[idx[i]] = x[idx[i]] + y[i]; }",
+            AnalysisConfig.new_algorithm(),
+        )
+        (d,) = result.decisions.values()
+        assert d.speculation_verified
+        cal = _fixed_cal()
+        n = 2_000_000
+        env = {"n": n, "idx": np.arange(n), "x": np.zeros(n), "y": np.zeros(n)}
+        want = cal.overhead("vectorized") + n * cal.rate("vectorized")
+        assert costmodel._inspect_seconds(cal, d, env) == pytest.approx(want)
+        assert costmodel._inspect_seconds(cal, d, {}) == cal.overhead("vectorized")
+        cp = compile_program(result.program, result.decisions)
+        (plan,) = plan_program(cp, env, cal=cal, workers=2)
+        assert plan.predicted["inspect"] == pytest.approx(want)
+
 
 class TestAutoBackendEndToEnd:
     def test_auto_matches_interp_output(self):

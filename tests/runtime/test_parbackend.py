@@ -136,3 +136,30 @@ def test_get_pool_resizes_and_restarts(monkeypatch):
     assert not p1._check_alive()  # old pool was shut down
     shutdown_pool()
     assert not p2._check_alive()
+
+
+def test_parallel_execute_leaves_no_reference_cycle():
+    # a pool-dispatched call must free its env arrays by reference counting
+    # alone: with the cyclic collector off, dropping the caller's env and
+    # the result must kill the input array
+    import gc
+    import weakref
+
+    result = parallelize(
+        "for (i = 0; i < n; i++) { a[i] = b[i] * 2.0; }", AnalysisConfig.new_algorithm()
+    )
+    n = 4 * MIN_PAR_TRIPS
+    gc.disable()
+    try:
+        env = {"n": n, "a": np.zeros(n), "b": np.arange(float(n))}
+        ref = weakref.ref(env["b"])
+        out = execute(
+            result.program, env, decisions=result.decisions,
+            backend="compiled-parallel", threads=2,
+        )
+        assert out["a"][3] == 6.0
+        del env, out
+        assert ref() is None, "env arrays outlived the call (reference cycle)"
+    finally:
+        gc.enable()
+        shutdown_pool()

@@ -100,3 +100,36 @@ class TestLaplacian27:
             (np.ones_like(mat.data), mat.indices, mat.indptr), shape=(64, 64)
         )
         assert (sp != sp.T).nnz == 0
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from repro.benchmarks.registry import get_benchmark
+from repro.workloads.suitesparse import SUITESPARSE_PROFILES, suitesparse_profile
+
+h = hashlib.sha256(get_benchmark("AMGmk").paper_env()["A_data"].tobytes())
+for name in sorted(SUITESPARSE_PROFILES):
+    for axis in ("col", "row"):
+        h.update(suitesparse_profile(name, axis=axis).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_generated_inputs_do_not_depend_on_the_hash_seed():
+    # str hashes are randomized per process; the generated matrices and
+    # profiles must not be, or the reproduced figures change run to run
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    digests = set()
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
