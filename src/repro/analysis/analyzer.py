@@ -571,7 +571,7 @@ def _sub_expr(a: Expr, b: Expr) -> Expr:
 #: receive a clone (see analyze_program)
 _ANALYSIS_CACHE = perfstats.BoundedCache()
 
-perfstats.register_cache("analysis", _ANALYSIS_CACHE.__len__, _ANALYSIS_CACHE.clear)
+perfstats.register_cache("analysis", _ANALYSIS_CACHE)
 
 
 def _source_digest(source: str) -> str:
@@ -608,7 +608,7 @@ class _NestEntry:
 #: reappears — other nests may change freely
 _NEST_CACHE = perfstats.BoundedCache()
 
-perfstats.register_cache("nest", _NEST_CACHE.__len__, _NEST_CACHE.clear)
+perfstats.register_cache("nest", _NEST_CACHE)
 
 
 def _observed_names(loop: For) -> Set[str]:

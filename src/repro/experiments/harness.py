@@ -10,14 +10,22 @@ machine model.  All figures are tables of these cells.
 :class:`CellSpec`, so :func:`run_cells` fans a spec list out over a
 ``ProcessPoolExecutor``.  The pool explicitly requests the ``fork`` start
 method where the platform offers it (so workers inherit the parent's warm
-analysis caches); elsewhere — ``spawn`` on Windows/macOS — workers start
-cold and simply redo the per-worker analyses.  Each worker snapshots its
-:mod:`repro.ir.perfstats` counters (and tier/fallback histograms) around
-the cell and ships the delta back alongside the result over the existing
-reply pipe; the parent folds every delta into its own counters via
-:func:`repro.ir.perfstats.merge_counts`, so the CLI ``--stats`` report
-and the cache-hit accounting cover the whole run regardless of
-``REPRO_JOBS``.  The worker count defaults to ``os.cpu_count()`` and is
+analysis caches); elsewhere — ``spawn`` on Windows/macOS — each fan-out's
+workers start cold and redo the analyses the parent already holds.  Each
+worker snapshots its :mod:`repro.ir.perfstats` counters (and tier/fallback
+histograms) around the cell and ships the delta back alongside the result
+over the existing reply pipe; the parent folds every delta into its own
+counters via :func:`repro.ir.perfstats.merge_counts`, so the CLI
+``--stats`` report and the cache-hit accounting cover the whole run
+regardless of ``REPRO_JOBS``.  The same reply carries the pristine
+whole-program ``parallelize`` and ``analysis`` cache entries the cell
+computed (:func:`repro.ir.perfstats.collect_cache_entries`); the parent
+installs each one it does not hold yet
+(:func:`repro.ir.perfstats.install_cache_entries`, no hit or miss
+counted).  After a pooled run the parent therefore holds the same
+whole-program caches as after a serial one — under any start method —
+and later forks start warm, so a second figure run analyzes nothing.
+The worker count defaults to ``os.cpu_count()`` and is
 overridden by the ``REPRO_JOBS`` environment variable or the ``jobs=``
 argument; ``REPRO_JOBS=1`` forces the fully serial path (no pool at all).
 Results come back in spec order, and each cell computes exactly the same
@@ -227,6 +235,34 @@ def _merge_cell_stats(payload) -> "BenchRun":
     return result
 
 
+#: whole-program result caches whose worker-side entries travel home, so
+#: the parent (and every later fork of it) starts warm
+_SHIPPED_CACHES = ("parallelize", "analysis")
+
+
+def _run_cell_shipping(spec: CellSpec):
+    """Pool entry point: :func:`_run_cell_stats` plus the cell's cache entries.
+
+    Returns ``(payload, entries)``: the stats payload and the pristine
+    whole-program snapshots this cell added to the worker's caches
+    (:func:`repro.ir.perfstats.collect_cache_entries`).
+    """
+    from repro.ir import perfstats
+
+    with perfstats.collect_cache_entries(_SHIPPED_CACHES) as entries:
+        payload = _run_cell_stats(spec)
+    return payload, entries
+
+
+def _merge_cell_reply(reply) -> "BenchRun":
+    """Install a worker's cache entries in the parent, then fold its stats."""
+    from repro.ir import perfstats
+
+    payload, entries = reply
+    perfstats.install_cache_entries(entries)
+    return _merge_cell_stats(payload)
+
+
 def resolved_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit ``jobs`` > ``REPRO_JOBS`` env > cpu count."""
     if jobs is not None:
@@ -323,11 +359,11 @@ def run_cells(
     pool_broken = False
     timed_out = False
     try:
-        futures = {i: pool.submit(_run_cell_stats, s) for i, s in enumerate(specs)}
+        futures = {i: pool.submit(_run_cell_shipping, s) for i, s in enumerate(specs)}
         for i, fut in futures.items():
             spec = specs[i]
             try:
-                results[i] = _merge_cell_stats(fut.result(timeout=timeout))
+                results[i] = _merge_cell_reply(fut.result(timeout=timeout))
             except FutureTimeoutError:
                 timed_out = True
                 fut.cancel()

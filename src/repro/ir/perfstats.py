@@ -10,9 +10,11 @@ for the performance work that keeps it cheap:
   :mod:`repro.analysis.analyzer` and :mod:`repro.parallelizer.driver`.
 
 Counters are plain ints on a module-level :data:`STATS` object (cheap to
-bump from hot paths).  Cache owners register ``(size_fn, clear_fn)`` pairs
-via :func:`register_cache` so :func:`snapshot` can report sizes and
-:func:`clear_caches` can drop memoized results without import cycles.
+bump from hot paths).  Cache owners register each cache by name via
+:func:`register_cache` so :func:`snapshot` can report sizes,
+:func:`clear_caches` can drop memoized results without import cycles, and
+:func:`collect_cache_entries` / :func:`install_cache_entries` can carry
+entries computed in one process into another.
 The CLI surfaces everything via ``python -m repro --stats <command>``.
 
 **Retention.**  Result caches are bounded :class:`BoundedCache` LRU maps
@@ -28,10 +30,11 @@ the retention section of ``docs/performance.md``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class Counters:
@@ -105,6 +108,58 @@ def merge_counts(
     for name, value in (fallbacks or {}).items():
         if value:
             FALLBACKS[name] = FALLBACKS.get(name, 0) + value
+
+
+#: cache entries as they travel between processes: cache name -> the
+#: ``(key, value)`` pairs to install
+CacheEntries = Dict[str, List[Tuple[Any, Any]]]
+
+
+@contextlib.contextmanager
+def collect_cache_entries(names: Iterable[str]) -> Iterator[CacheEntries]:
+    """Collect the entries a piece of work adds to the named caches.
+
+    Yields a dict that, once the ``with`` block exits normally, maps each
+    registered name to the ``(key, value)`` pairs the block inserted and
+    the cache still holds.  Entries held when the block started —
+    inherited from a forked parent, or added by earlier work in the same
+    process — are left out, so each entry travels once.  The values are
+    the caches' own pristine entries: pickle them across a process
+    boundary (which copies), never hand them to a consumer.  Names not
+    registered in this process are skipped.
+
+    The harness wraps each worker cell in this and ships the result home
+    next to the :func:`merge_counts` deltas, where
+    :func:`install_cache_entries` puts them into the parent's caches.
+    """
+    caches = {name: _CACHES[name] for name in names if name in _CACHES}
+    before = {name: set(cache) for name, cache in caches.items()}
+    added: CacheEntries = {}
+    yield added
+    for name, cache in caches.items():
+        added[name] = [(k, v) for k, v in cache.items() if k not in before[name]]
+
+
+def install_cache_entries(entries: CacheEntries) -> int:
+    """Install entries collected in another process; return how many were new.
+
+    Each pair goes into the registered cache of that name unless the
+    cache already holds its key, in which case the held entry stays —
+    the same rule as a disk-tier load, which only fills a memory miss.
+    Installing counts no hit and no miss: the work was counted where it
+    ran, and its counter delta arrives through :func:`merge_counts`.
+    Unknown cache names are ignored (version skew between parent and
+    worker must not crash the harness).
+    """
+    installed = 0
+    for name, pairs in entries.items():
+        cache = _CACHES.get(name)
+        if cache is None:
+            continue
+        for key, value in pairs:
+            if cache.setdefault(key, value) is value:
+                installed += 1
+    return installed
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +261,17 @@ class BoundedCache:
                     data.popitem(last=False)
                     STATS.cache_evictions += 1
 
+    def setdefault(self, key, value):
+        """Insert ``value`` unless ``key`` is held; return the held value.
+
+        Finding the key is not a hit: its recency is left as it was.
+        """
+        with self._lock:
+            if key in self._data:
+                return self._data[key]
+            self[key] = value
+            return value
+
     def __contains__(self, key) -> bool:
         with self._lock:
             return key in self._data
@@ -218,6 +284,11 @@ class BoundedCache:
         # snapshot: callers may mutate the cache while iterating
         with self._lock:
             return iter(list(self._data))
+
+    def items(self) -> List[Tuple[Any, Any]]:
+        """Snapshot of the ``(key, value)`` pairs, least recently used first."""
+        with self._lock:
+            return list(self._data.items())
 
     def pop(self, key, default=None):
         with self._lock:
@@ -266,8 +337,8 @@ def record_fallback(reason: str) -> None:
     """Count one loop (or program) that fell back, keyed by reason."""
     FALLBACKS[reason] = FALLBACKS.get(reason, 0) + 1
 
-#: registered caches: name -> (size_fn, clear_fn)
-_CACHES: Dict[str, Tuple[Callable[[], int], Callable[[], None]]] = {}
+#: registered caches by name: :class:`BoundedCache` instances or plain dicts
+_CACHES: Dict[str, Any] = {}
 
 #: registered intern tables: name -> size_fn
 _INTERN_TABLES: Dict[str, Callable[[], int]] = {}
@@ -276,9 +347,14 @@ _INTERN_TABLES: Dict[str, Callable[[], int]] = {}
 _INTERN_CLEARERS: List[Callable[[], None]] = []
 
 
-def register_cache(name: str, size_fn: Callable[[], int], clear_fn: Callable[[], None]) -> None:
-    """Register a memoization cache for reporting and bulk clearing."""
-    _CACHES[name] = (size_fn, clear_fn)
+def register_cache(name: str, cache: Any) -> None:
+    """Register a memoization cache (a :class:`BoundedCache` or a dict).
+
+    Registered caches are reported by :func:`cache_sizes`, emptied by
+    :func:`clear_caches`, and addressable by name for
+    :func:`collect_cache_entries` / :func:`install_cache_entries`.
+    """
+    _CACHES[name] = cache
 
 
 def register_intern_table(name: str, size_fn: Callable[[], int]) -> None:
@@ -298,7 +374,7 @@ def intern_table_sizes() -> Dict[str, int]:
 
 def cache_sizes() -> Dict[str, int]:
     """Current size of every registered memoization cache."""
-    return {name: size_fn() for name, (size_fn, _) in _CACHES.items()}
+    return {name: len(cache) for name, cache in _CACHES.items()}
 
 
 def clear_caches() -> None:
@@ -311,8 +387,8 @@ def clear_caches() -> None:
     deliberate call — :func:`repro.ir.symbols.clear_intern_tables`, or
     :func:`clear_all` to do both in one step.
     """
-    for _, clear_fn in _CACHES.values():
-        clear_fn()
+    for cache in _CACHES.values():
+        cache.clear()
 
 
 def clear_all() -> None:

@@ -34,9 +34,9 @@ _EXPAND_CACHE: Dict[Expr, Expr] = {}
 _SIMPLIFY_CACHE: Dict[Expr, Expr] = {}
 _AFFINE_CACHE: Dict[Tuple[Expr, Expr], Optional[Tuple[Expr, Expr]]] = {}
 
-register_cache("expand", _EXPAND_CACHE.__len__, _EXPAND_CACHE.clear)
-register_cache("simplify", _SIMPLIFY_CACHE.__len__, _SIMPLIFY_CACHE.clear)
-register_cache("affine", _AFFINE_CACHE.__len__, _AFFINE_CACHE.clear)
+register_cache("expand", _EXPAND_CACHE)
+register_cache("simplify", _SIMPLIFY_CACHE)
+register_cache("affine", _AFFINE_CACHE)
 
 
 def clear_caches() -> None:

@@ -378,7 +378,7 @@ class _Parser:
 #: enables it.
 _STMT_CACHE = perfstats.BoundedCache()
 
-perfstats.register_cache("parse", _STMT_CACHE.__len__, _STMT_CACHE.clear)
+perfstats.register_cache("parse", _STMT_CACHE)
 
 #: tokens hashed into the candidate-selector bucket key
 _BUCKET_TOKENS = 12

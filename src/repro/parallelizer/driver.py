@@ -160,7 +160,7 @@ class ParallelizationResult:
 #: receive a clone (see parallelize); LRU-bounded (REPRO_CACHE_MAX_ENTRIES)
 _PARALLELIZE_CACHE: perfstats.BoundedCache = perfstats.BoundedCache()
 
-perfstats.register_cache("parallelize", _PARALLELIZE_CACHE.__len__, _PARALLELIZE_CACHE.clear)
+perfstats.register_cache("parallelize", _PARALLELIZE_CACHE)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ class _DecisionEntry:
 #: tests or the certificate checker
 _NESTDEC_CACHE: perfstats.BoundedCache = perfstats.BoundedCache()
 
-perfstats.register_cache("nestdec", _NESTDEC_CACHE.__len__, _NESTDEC_CACHE.clear)
+perfstats.register_cache("nestdec", _NESTDEC_CACHE)
 
 
 def _mono_sig(ev: MonoStep) -> str:

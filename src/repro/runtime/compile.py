@@ -2248,7 +2248,7 @@ class CompiledProgram:
 #: (``REPRO_CACHE_MAX_ENTRIES``), emptied by ``perfstats.clear_caches``.
 _LOWERED_CACHE: perfstats.BoundedCache = perfstats.BoundedCache()
 
-perfstats.register_cache("lowered", _LOWERED_CACHE.__len__, _LOWERED_CACHE.clear)
+perfstats.register_cache("lowered", _LOWERED_CACHE)
 
 
 def compile_program(

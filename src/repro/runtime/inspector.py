@@ -111,7 +111,7 @@ def _memo():
         from repro.ir import perfstats
 
         _VERDICT_MEMO = perfstats.BoundedCache()
-        perfstats.register_cache("inspect", _VERDICT_MEMO.__len__, _VERDICT_MEMO.clear)
+        perfstats.register_cache("inspect", _VERDICT_MEMO)
     return _VERDICT_MEMO
 
 

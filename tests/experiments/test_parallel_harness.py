@@ -6,12 +6,19 @@ the process pool has to be cell-for-cell identical to the serial path, and
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
+from repro.analysis.analyzer import _ANALYSIS_CACHE, _source_digest
+from repro.benchmarks.registry import get_benchmark
 from repro.experiments import harness
 from repro.experiments.fig13 import fig13_cells
 from repro.experiments.harness import CellSpec, resolved_jobs, run_cell, run_cells
+from repro.ir import perfstats
+from repro.lang.astnodes import For
+from repro.parallelizer import parallelize
+from repro.parallelizer.driver import _PARALLELIZE_CACHE
 
 
 class TestJobsResolution:
@@ -281,3 +288,96 @@ class TestWorkerStatsAggregation:
             "jobs=2 run left every parent counter at zero: worker stats "
             "were not aggregated"
         )
+
+
+class TestWorkerCacheShipping:
+    """Whole-program results a worker computes travel home with its stats,
+    so the parent — and every later fork of it — starts warm.  ``jobs=2``
+    forces the pool, so the fork path is checked on any core count."""
+
+    # two different (benchmark, pipeline) pairs: two cache keys
+    SPECS = [
+        CellSpec("AMGmk", None, "Cetus+NewAlgo", 4),
+        CellSpec("SDDMM", None, "Cetus", 8),
+    ]
+
+    @staticmethod
+    def _key(spec):
+        source = get_benchmark(spec.benchmark).source
+        return (_source_digest(source), harness.PIPELINES[spec.pipeline].fingerprint())
+
+    @staticmethod
+    def _clear():
+        _PARALLELIZE_CACHE.clear()
+        _ANALYSIS_CACHE.clear()
+
+    def _shipped_entries(self, spec):
+        """A cold worker reply's cache entries, as the reply pipe delivers them."""
+        self._clear()
+        payload, entries = harness._run_cell_shipping(spec)
+        assert payload[0].benchmark == spec.benchmark
+        return pickle.loads(pickle.dumps(entries))
+
+    def test_pooled_run_warms_the_parent(self):
+        self._clear()
+        first = run_cells(self.SPECS, jobs=2)
+        assert all(isinstance(r, harness.BenchRun) for r in first)
+        for spec in self.SPECS:
+            assert self._key(spec) in _PARALLELIZE_CACHE
+            assert self._key(spec) in _ANALYSIS_CACHE
+        before = perfstats.STATS.as_dict()
+        second = run_cells(self.SPECS, jobs=2)
+        after = perfstats.STATS.as_dict()
+        assert after["analysis_misses"] == before["analysis_misses"]
+        assert after["parallelize_misses"] == before["parallelize_misses"]
+        assert [dataclasses.astuple(r) for r in second] == [
+            dataclasses.astuple(r) for r in first
+        ]
+
+    def test_worker_ships_only_what_its_cell_added(self):
+        spec = self.SPECS[0]
+        entries = self._shipped_entries(spec)
+        assert [k for k, _ in entries["parallelize"]] == [self._key(spec)]
+        assert [k for k, _ in entries["analysis"]] == [self._key(spec)]
+        # a warm worker adds nothing, so it ships nothing
+        _, warm = harness._run_cell_shipping(spec)
+        assert warm == {"parallelize": [], "analysis": []}
+
+    def test_install_counts_nothing_and_keeps_held_entries(self):
+        spec = self.SPECS[0]
+        key = self._key(spec)
+        entries = self._shipped_entries(spec)
+        held = _PARALLELIZE_CACHE.get(key)
+        _ANALYSIS_CACHE.clear()
+        entries["not-registered"] = [("k", "v")]  # version skew: ignored
+        before = perfstats.STATS.as_dict()
+        # the parallelize key is held already; only the analysis entry is new
+        assert perfstats.install_cache_entries(entries) == 1
+        assert perfstats.STATS.as_dict() == before
+        assert _PARALLELIZE_CACHE.get(key) is held
+        assert key in _ANALYSIS_CACHE
+
+    def test_hit_on_installed_entry_is_a_private_clone(self):
+        spec = self.SPECS[0]
+        key = self._key(spec)
+        entries = self._shipped_entries(spec)
+        self._clear()
+        assert perfstats.install_cache_entries(entries) == 2
+        installed = _PARALLELIZE_CACHE.get(key)
+        source = get_benchmark(spec.benchmark).source
+        config = harness.PIPELINES[spec.pipeline]
+        hits = perfstats.STATS.parallelize_hits
+        first = parallelize(source, config)
+        assert perfstats.STATS.parallelize_hits == hits + 1
+        assert first is not installed and first.program is not installed.program
+        expected_c, expected_decisions = first.to_c(), list(first.decisions)
+        # scribble on everything a consumer could reach
+        for node in first.program.walk():
+            if isinstance(node, For):
+                node.pragmas.append("junk pragma")
+        first.program.stmts.clear()
+        first.decisions.clear()
+        second = parallelize(source, config)
+        assert second.to_c() == expected_c
+        assert list(second.decisions) == expected_decisions
+        assert _PARALLELIZE_CACHE.get(key) is installed

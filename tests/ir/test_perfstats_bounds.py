@@ -157,3 +157,27 @@ class TestInternEviction:
         assert len(table) == 3
         b = symbols.Sym("bounded_probe_a")
         assert a == b  # structural equality survives any eviction policy
+
+
+class TestCacheEntryChannel:
+    """collect_cache_entries gathers what a piece of work added, for the
+    harness's worker replies (installing is covered with the harness in
+    tests/experiments/test_parallel_harness.py)."""
+
+    def test_collects_only_entries_added_and_still_held(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "3")
+        cache = perfstats.BoundedCache()
+        monkeypatch.setitem(perfstats._CACHES, "probe", cache)
+        cache["old"] = 0
+        with perfstats.collect_cache_entries(["probe", "not-registered"]) as added:
+            for k in "abcd":  # "old" and "a" are evicted on the way
+                cache[k] = k.upper()
+        assert added == {"probe": [("b", "B"), ("c", "C"), ("d", "D")]}
+
+    def test_setdefault_on_a_held_key_leaves_recency_alone(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "2")
+        cache = perfstats.BoundedCache()
+        cache["a"], cache["b"] = "A", "B"
+        assert cache.setdefault("a", "other") == "A"
+        cache["c"] = "C"  # "a" is still the least recently used
+        assert "a" not in cache and "b" in cache
