@@ -90,5 +90,7 @@ BENCHMARK = Benchmark(
         "Cetus+NewAlgo": "inner",
     },
     main_component="sweeps",
+    # the three 2-D field sweeps flatten; the boundary row stays 1-D
+    expected_tiers={"flattened": 3, "vectorized": 1},
     notes="Field sweeps classically parallel inside the serial time loop.",
 )

@@ -103,5 +103,7 @@ BENCHMARK = Benchmark(
         "Cetus+NewAlgo": "inner",
     },
     main_component="sweeps",
+    # both spatial sweeps flatten: every level is a slice axis
+    expected_tiers={"flattened": 2},
     notes="Time loop serial; spatial sweeps classically parallel (all pipelines equal).",
 )

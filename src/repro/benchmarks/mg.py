@@ -91,5 +91,7 @@ BENCHMARK = Benchmark(
         "Cetus+NewAlgo": "inner",
     },
     main_component="vcycle",
+    # residual and correction sweeps flatten: every level is a slice axis
+    expected_tiers={"flattened": 2},
     notes="Residual/correction sweeps classically parallel; bandwidth-bound.",
 )

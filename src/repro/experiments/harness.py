@@ -254,6 +254,24 @@ def _run_cell_shipping(spec: CellSpec):
     return payload, entries
 
 
+def _run_group_shipping(specs: List[CellSpec]):
+    """Pool entry point for cells that share one (benchmark, pipeline) key.
+
+    They run one after another in the same worker, so the key is analyzed
+    once, by the first cell; the rest hit the worker's cache.  Returns one
+    entry per cell: ``("ok", reply)`` with :func:`_run_cell_shipping`'s
+    reply, or ``("error", message)`` when the cell raised, so one bad
+    cell does not lose its siblings' results.
+    """
+    out = []
+    for spec in specs:
+        try:
+            out.append(("ok", _run_cell_shipping(spec)))
+        except Exception as exc:
+            out.append(("error", f"{type(exc).__name__}: {exc}"))
+    return out
+
+
 def _merge_cell_reply(reply) -> "BenchRun":
     """Install a worker's cache entries in the parent, then fold its stats."""
     from repro.ir import perfstats
@@ -339,14 +357,25 @@ def run_cells(
 
     Results always come back in spec order and always have one entry per
     spec, so figure tables render holes instead of crashing.
+
+    Cells that share a (benchmark, pipeline) key travel as one pool task
+    (:func:`_run_group_shipping`): a fan-out reaches the workers before
+    any result is back, so spreading one cold key over several workers
+    would analyze it in each of them.  A task's time limit is
+    ``cell_timeout`` per cell it carries.
     """
     specs = list(specs)
     timeout = resolved_cell_timeout(cell_timeout)
     n = min(resolved_jobs(jobs), len(specs))
     if n <= 1:
         return [_run_cell_guarded(s) for s in specs]
+    groups: Dict[Tuple[str, str], List[int]] = {}
+    for i, s in enumerate(specs):
+        groups.setdefault((s.benchmark, s.pipeline), []).append(i)
     try:
-        pool = ProcessPoolExecutor(max_workers=n, mp_context=_pool_context())
+        pool = ProcessPoolExecutor(
+            max_workers=min(n, len(groups)), mp_context=_pool_context()
+        )
     except (OSError, PermissionError) as exc:
         logger.warning(
             "process pool unavailable (%s: %s); running %d cells serially",
@@ -359,16 +388,21 @@ def run_cells(
     pool_broken = False
     timed_out = False
     try:
-        futures = {i: pool.submit(_run_cell_shipping, s) for i, s in enumerate(specs)}
-        for i, fut in futures.items():
-            spec = specs[i]
+        futures = [
+            (idx, pool.submit(_run_group_shipping, [specs[i] for i in idx]))
+            for idx in groups.values()
+        ]
+        for idx, fut in futures:
+            limit = None if timeout is None else timeout * len(idx)
             try:
-                results[i] = _merge_cell_reply(fut.result(timeout=timeout))
+                replies = fut.result(timeout=limit)
             except FutureTimeoutError:
                 timed_out = True
                 fut.cancel()
-                logger.warning("cell %s exceeded %.1fs; marking failed", spec, timeout)
-                results[i] = _failed_cell(spec, f"timed out after {timeout:.1f}s")
+                for i in idx:
+                    logger.warning("cell %s exceeded %.1fs; marking failed", specs[i], timeout)
+                    results[i] = _failed_cell(specs[i], f"timed out after {timeout:.1f}s")
+                continue
             except BrokenProcessPool as exc:
                 if not pool_broken:
                     pool_broken = True
@@ -377,17 +411,21 @@ def run_cells(
                         type(exc).__name__,
                         exc,
                     )
-                results[i] = _run_cell_guarded(spec)
+                replies = [("error", None)] * len(idx)
             except Exception as exc:
-                # the cell itself raised in the worker: retry once serially
-                # (transient worker-side state is the common cause)
-                logger.warning(
-                    "cell %s crashed in worker (%s: %s); retrying serially",
-                    spec,
-                    type(exc).__name__,
-                    exc,
-                )
-                results[i] = _run_cell_guarded(spec)
+                replies = [("error", f"{type(exc).__name__}: {exc}")] * len(idx)
+            for i, (status, reply) in zip(idx, replies):
+                if status == "ok":
+                    results[i] = _merge_cell_reply(reply)
+                    continue
+                if reply is not None:
+                    # the cell itself raised in the worker: retry once
+                    # serially (transient worker-side state is the common
+                    # cause)
+                    logger.warning(
+                        "cell %s crashed in worker (%s); retrying serially", specs[i], reply
+                    )
+                results[i] = _run_cell_guarded(specs[i])
     finally:
         # a hung worker must not block shutdown: abandon it on timeout
         pool.shutdown(wait=not timed_out, cancel_futures=timed_out or pool_broken)

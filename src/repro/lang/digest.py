@@ -17,6 +17,7 @@ in the file, exactly as they would render to identical C text.
 from __future__ import annotations
 
 import hashlib
+from typing import List, Optional, Tuple
 
 from repro.lang.astnodes import (
     ArrayAccess,
@@ -78,6 +79,17 @@ _PAYLOAD = {
 
 def node_fingerprint(node: Node) -> str:
     """Hex sha256 digest of the subtree's structure and content."""
+    return _digest(node, None)
+
+
+def fingerprint_and_loop_ids(node: Node) -> Tuple[str, Tuple[Optional[str], ...]]:
+    """:func:`node_fingerprint` plus every ``For``'s ``loop_id`` in preorder
+    (the order of :meth:`Node.walk`), from the same single walk."""
+    loop_ids: List[Optional[str]] = []
+    return _digest(node, loop_ids), tuple(loop_ids)
+
+
+def _digest(node: Node, loop_ids: Optional[List[Optional[str]]]) -> str:
     parts = []
     append = parts.append
     payload = _PAYLOAD
@@ -86,6 +98,8 @@ def node_fingerprint(node: Node) -> str:
     while stack:
         n = pop()
         t = type(n)
+        if t is For and loop_ids is not None:
+            loop_ids.append(n.loop_id)
         children = n.children()
         append(t.__name__)
         append(payload[t](n))

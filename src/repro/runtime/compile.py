@@ -167,17 +167,55 @@ def _as_idx(x):
     return a if a.dtype.kind in "iu" else a.astype(np.int64)
 
 
-def _scat(op, arr, idx, val):
+def _lanes(x, shape):
+    """``x`` broadcast over a frame's lane grid ``shape``, as 1-D C-order lanes.
+
+    C order over the grid is serial iteration order.  A value that does
+    not already span the whole grid is materialized C-contiguous, so the
+    reductions and ordered scatters that consume lanes see exactly the
+    operand layout a fully expanded lane vector has.
+    """
+    a = np.asarray(x)
+    if a.shape != shape:
+        a = np.ascontiguousarray(np.broadcast_to(a, shape))
+    return a.reshape(-1)
+
+
+def _axsum(x, t):
+    """Sum over a flat level's axis (the last one), leaving the rest broadcast.
+
+    The operand is expanded along that axis only and made C-contiguous,
+    so every row reduces exactly as ``reshape(n, T).sum(axis=1)`` of the
+    fully expanded lanes does (numpy sums a strided or transposed operand
+    in a different order).
+    """
+    a = np.asarray(x)
+    if a.ndim == 0:
+        a = a.reshape(1)
+    return np.ascontiguousarray(np.broadcast_to(a, a.shape[:-1] + (t,))).sum(axis=-1)
+
+
+def _last(x):
+    """The value at a frame's last lane (C order) of a grid-broadcast value."""
+    return np.asarray(x).flat[-1]
+
+
+def _scat(op, arr, idx, val, shape):
     """Ordered scatter-accumulate ``arr[idx] = arr[idx] op val``.
 
+    Index vectors and the value are laid out as the frame's C-order lanes
+    first (:func:`_lanes`), so updates apply in serial iteration order.
     ``np.{add,subtract,multiply}.at`` is unbuffered and applies updates in
     index order, so the fast path is bit-identical to the serial loop.
     The slow path handles the one case ``.at`` cannot: accumulating float
     values into an integer array, where the interpreter's store truncates
     after every single update.
     """
+    idx = tuple(x if isinstance(x, int) else _lanes(x, shape) for x in idx)
     vecs = [np.asarray(x) for x in idx]
     v = np.asarray(val)
+    if v.ndim:
+        val = v = _lanes(v, shape)
     if arr.dtype.kind in "iu" and v.dtype.kind == "f":
         n = next((x.shape[0] for x in vecs if x.ndim), 0)
         for j in range(n):
@@ -215,17 +253,18 @@ def _segred(op, vals, offs, counts):
     return out
 
 
-def _mmerge(prior, sel, val, n):
+def _mmerge(prior, sel, val, shape):
     """Masked merge: ``prior`` with ``val`` written at the ``sel`` lanes.
 
-    Promotes the dtype so a float redefinition under a mask is not
-    silently truncated into an integer carrier.
+    ``shape`` is the parent frame's lane grid and ``sel`` indexes its
+    C-order lanes.  Promotes the dtype so a float redefinition under a
+    mask is not silently truncated into an integer carrier.
     """
-    prior_b = np.broadcast_to(np.asarray(prior), (n,))
+    prior_b = np.broadcast_to(np.asarray(prior), shape)
     val_a = np.asarray(val)
-    out = np.empty(n, dtype=np.result_type(prior_b, val_a))
+    out = np.empty(shape, dtype=np.result_type(prior_b, val_a))
     out[...] = prior_b
-    out[sel] = val_a
+    out.reshape(-1)[sel] = val_a
     return out
 
 
@@ -316,6 +355,9 @@ def _exec_namespace() -> Dict[str, Any]:
         "_binop": _apply_binop,
         "_ld": _traced_load,
         "_as_idx": _as_idx,
+        "_lanes": _lanes,
+        "_axsum": _axsum,
+        "_last": _last,
         "_scat": _scat,
         "_segred": _segred,
         "_mmerge": _mmerge,
@@ -605,6 +647,9 @@ class _Lowerer:
         #: runtime diagnostics raised while lowering (refused dispatches);
         #: recorded on every compile, cached or not
         self.runtime_diags: List[Any] = []
+        #: >0 while emitting a vector block's guarded scalar fallback, whose
+        #: inner loops record no tier
+        self._fallback = 0
         self._collect_names()
 
     # -- bookkeeping --------------------------------------------------------
@@ -921,6 +966,8 @@ class _Lowerer:
         self._block(s.body)
 
     def _note_tier(self, s: For, vec) -> None:
+        if self._fallback:
+            return  # a guarded fallback's loops run only when its guards fail
         key = s.loop_id or f"anon{len(self.loop_tiers)}"
         if vec is None:
             self.loop_tiers[key] = "scalar"
@@ -1184,7 +1231,7 @@ class _Lowerer:
                 if h2.inclusive:
                     ub = f"(({ub}) + 1)"
                 w = self.fresh("w")
-                lines = list(v.body_lines)
+                lines = [f"{v.n} = ({hi}) - ({lo})"] + v.body_lines
                 lines.append(
                     f"{w} = _np.maximum(_np.broadcast_to(_np.asarray({ub})"
                     f" - _np.asarray({lb}), (({hi}) - ({lo}),)), 0)"
@@ -1265,11 +1312,14 @@ class _Vectorizer:
 
     A frame tree mirrors the loop structure.  The root ("base") frame's
     lanes are the outer loop's iterations; child frames refine the lane
-    space:
+    space.  Every frame has a lane *grid* (``dims``): values are arrays
+    that broadcast to it, aligned on its trailing axes.
 
-    * **flat** — a uniform-trip inner loop: lanes = parent lanes x T
-      (``np.tile``/``np.repeat`` expansion, ``reshape(...).sum(axis=1)``
-      reductions into the parent);
+    * **flat** — a uniform-trip inner loop: lanes = parent lanes x T in
+      C order, i.e. the grid is the parent's grid plus a trailing
+      ``(T,)`` axis.  The level's index is ``arange`` along that axis and
+      a parent value enters as the view ``x[..., None]``; reductions into
+      the parent sum the last axis of a C-contiguous copy (``_axsum``);
     * **seg** — a variable-trip (CSR-shaped) inner loop whose bounds are
       per-parent-lane vectors: lanes are the concatenation of every
       segment (exclusive prefix-sum offsets, ``np.repeat`` expansion,
@@ -1279,6 +1329,9 @@ class _Vectorizer:
       ``np.nonzero``; guarded counter fills ``k = k + c`` become
       ``k + c*arange(nsel)`` lanes.
 
+    Seg and mask frames have a 1-D grid: entering one, and feeding
+    ``_scat``/``_segred``/``_mmerge`` or a whole-loop reduction,
+    materializes the parent's values as C-order lanes (``_lanes``).
     Lane order always equals serial iteration order, so ordered scatters
     (``_scat``) and ``reduceat`` reductions stay bit-identical to the
     scalar loop.  Safety model (raise :class:`_VecBail` on any doubt,
@@ -1302,9 +1355,17 @@ class _Vectorizer:
     * scalar assignments become per-lane temporaries (final value =
       last lane, exported with a lane-count guard for inner frames) or
       ``+``/``-`` reductions;
-    * slice reads/writes (base frame only) are guarded at runtime
-      against negative starts and overlong ends; when a guard fails the
-      emitted ``else`` branch runs the scalar loop instead.
+    * a subscript tuple whose non-scalar positions are affine in distinct
+      base/flat levels (positive step, offset evaluable before the loop)
+      becomes basic slices, transposed and expanded to the grid's axis
+      order.  Slices are guarded at runtime against negative starts and
+      overlong ends; when a guard fails the emitted ``else`` branch runs
+      the scalar loop instead;
+    * a *dense* flat level (symbolic bounds outside a segmented nest, or
+      more than 64 trips) flattens only if every array access under it
+      is a slice access and no whole-loop reduction runs across it; a
+      subscript spanning two levels (``a[i*n + j]``) keeps the per-row
+      slices of the nest's scalar outer loop instead of a gather.
     """
 
     def __init__(
@@ -1329,12 +1390,18 @@ class _Vectorizer:
         self.temps: Dict[str, Tuple[str, str]] = {}
         self.temp_order: List[str] = []
         self._exp: Dict[str, str] = {}  # parent-lane code -> expanded code
+        #: flat levels only: the bail reason when the level is dense (it
+        #: flattens only where its subscripts become slice axes), and
+        #: whether its bounds may be evaluated in the pre-loop guards
+        self.strict: Optional[str] = None
+        self.clean_bounds = True
         if parent is None:
             self.root = self
             self.cert = cert
             self.depth = 0
             self.n = low.fresh("n")
             self.nl = self.n  # lane-count code
+            self.dims = [self.n]  # lane-grid extent codes
             self.body_lines: List[str] = []
             self.guards: List[str] = []
             #: reduction var -> (op, [('vector'|'full', code)])
@@ -1361,18 +1428,26 @@ class _Vectorizer:
 
     # -- lane-space plumbing ------------------------------------------------
 
+    @property
+    def grid(self) -> str:
+        """Code for this frame's lane-grid shape tuple."""
+        return "(" + ", ".join(self.dims) + ",)"
+
+    def lanes(self, code: str) -> str:
+        """A value of this frame as 1-D C-order lanes over its grid."""
+        return f"_lanes({code}, {self.grid})"
+
     def index_vec(self) -> str:
-        """This frame's own index values, one per lane."""
+        """This frame's own index values, broadcasting to its grid."""
         if self.vi is not None:
             return self.vi
         if self.kind == "base":
             self.vi = self.low.fresh("vi")
             self.emit(f"{self.vi} = _np.arange({self.lo}, {self.hi})")
         elif self.kind == "flat":
+            # laid along the frame's own (last) axis
             self.vi = self.low.fresh("vi")
-            self.emit(
-                f"{self.vi} = _np.tile(({self.lo}) + _np.arange({self.T}), {self.parent.nl})"
-            )
+            self.emit(f"{self.vi} = ({self.lo}) + _np.arange({self.T})")
         elif self.kind == "seg":
             self.vi = self.low.fresh("vi")
             self.emit(
@@ -1384,7 +1459,7 @@ class _Vectorizer:
         return self.vi
 
     def expand(self, code: str) -> str:
-        """Re-express a parent-lane vector in this frame's lane space."""
+        """Re-express a parent-lane value in this frame's lane space."""
         if self.parent is None:
             return code
         t = self._exp.get(code)
@@ -1392,13 +1467,17 @@ class _Vectorizer:
             return t
         t = self.low.fresh("vx")
         if self.kind == "flat":
-            self.emit(f"{t} = _np.repeat({code}, {self.T})")
+            self.emit(f"{t} = _np.asarray({code})[..., None]")
         elif self.kind == "seg":
-            self.emit(f"{t} = _np.repeat({code}, {self.ct})")
+            self.emit(f"{t} = _np.repeat({self.parent.lanes(code)}, {self.ct})")
         else:  # mask
-            self.emit(f"{t} = _np.asarray({code})[{self.sel}]")
+            self.emit(f"{t} = {self.parent.lanes(code)}[{self.sel}]")
         self._exp[code] = t
         return t
+
+    def unlanes(self, code: str) -> str:
+        """1-D lanes of this frame reshaped back to its grid."""
+        return code if len(self.dims) == 1 else f"({code}).reshape({self.grid})"
 
     def expand_from(self, frame: "_Vectorizer", code: str) -> str:
         if frame is self:
@@ -1449,6 +1528,34 @@ class _Vectorizer:
             f = f.parent
         return False
 
+    def grid_flats(self) -> List["_Vectorizer"]:
+        """The flat levels whose axes follow this frame's first grid axis."""
+        out: List[_Vectorizer] = []
+        f = self
+        while f.kind == "flat":
+            out.append(f)
+            f = f.parent
+        return out
+
+    def axis_levels(self) -> Optional[List["_Vectorizer"]]:
+        """One level per grid axis, outermost first, when the grid is a
+        plain base x flat x ... product (no seg/mask frame on the chain)."""
+        flats = self.grid_flats()
+        first = flats[-1].parent if flats else self
+        if first.kind != "base":
+            return None
+        return [first] + flats[::-1]
+
+    def strict_levels(self) -> List["_Vectorizer"]:
+        """Dense flat levels on this frame's chain, innermost first."""
+        out = []
+        f = self
+        while f is not None:
+            if f.strict is not None:
+                out.append(f)
+            f = f.parent
+        return out
+
     # -- driver -------------------------------------------------------------
 
     def lower(self, body: Statement) -> None:
@@ -1475,8 +1582,10 @@ class _Vectorizer:
         if self.guards:
             low.emit("else:")
             low.depth += 1
+            low._fallback += 1
             low.emit(f"for {_mangle(self.h.index)} in range({self.lo}, {self.hi}):")
             low._block(body)
+            low._fallback -= 1
             low.depth -= 1
 
     def vstmt(self, s: Statement) -> None:
@@ -1501,7 +1610,7 @@ class _Vectorizer:
         for name in self.temp_order:
             kind, t = self.temps[name]
             m = _mangle(name)
-            self.emit(f"{m} = {t}[-1]" if kind == "vector" else f"{m} = {t}")
+            self.emit(f"{m} = _last({t})" if kind == "vector" else f"{m} = {t}")
         for name in self.red_order:
             op, parts = self.reds[name]
             m = _mangle(name)
@@ -1604,9 +1713,14 @@ class _Vectorizer:
         op, operand = self._red_pattern(s)
         if self._refs(name, operand):
             raise _VecBail("accumulator read in its own update")
+        strict = self.strict_levels()
+        if strict:
+            # one pairwise sum over the whole dense nest would not
+            # reproduce the row-by-row order of its scalar outer loop
+            raise _VecBail(strict[0].strict)
         kind, code = self.vexpr(operand)
         t = self.low.fresh("vr")
-        self.emit(f"{t} = {code}")
+        self.emit(f"{t} = {self.lanes(code)}" if kind == "vector" else f"{t} = {code}")
         entry = ("vector", t) if kind == "vector" else ("full", f"({self.nl}) * ({t})")
         if name in root.reds:
             if root.reds[name][0] != op:
@@ -1627,7 +1741,7 @@ class _Vectorizer:
             val = self.low.fresh("vt")
             self.emit(f"{val} = {code}")
             merged = self.low.fresh("vt")
-            self.emit(f"{merged} = _mmerge({pc}, {self.sel}, {val}, {self.parent.nl})")
+            self.emit(f"{merged} = _mmerge({pc}, {self.sel}, {val}, {self.parent.grid})")
             f.temps[name] = ("vector", merged)
             return
         # additive reduction into an ancestor's per-lane value: evaluate
@@ -1655,15 +1769,17 @@ class _Vectorizer:
         if self.kind == "flat":
             if k == "scalar":
                 return k, f"(({self.T}) * ({c}))"
-            return "vector", f"(_np.asarray({c}).reshape({self.parent.nl}, {self.T}).sum(axis=1))"
+            return "vector", f"_axsum({c}, {self.T})"
         if self.kind == "seg":
             if k == "scalar":
-                return "vector", f"({self.ct} * ({c}))"
-            return "vector", f"_segred('+', {c}, {self.of}, {self.ct})"
+                return "vector", self.parent.unlanes(f"({self.ct} * ({c}))")
+            return "vector", self.parent.unlanes(
+                f"_segred('+', {self.lanes(c)}, {self.of}, {self.ct})"
+            )
         # mask: unselected lanes contribute the additive identity
         z = self.low.fresh("vt")
-        self.emit(f"{z} = _np.zeros({self.parent.nl}, dtype=_np.result_type({c}))")
-        self.emit(f"{z}[{self.sel}] = {c}")
+        self.emit(f"{z} = _np.zeros({self.parent.grid}, dtype=_np.result_type({c}))")
+        self.emit(f"{z}.reshape(-1)[{self.sel}] = {c}")
         return "vector", z
 
     # -- inner loops (flat / segmented frames) ------------------------------
@@ -1682,18 +1798,15 @@ class _Vectorizer:
             ub = f"(({ub}) + 1)"
         if kl == "scalar" and ku == "scalar":
             clo, chi = _const_int(h2.lb), _const_int(h2.ub_expr)
-            trips = None
-            if clo is not None and chi is not None:
-                trips = (chi + 1 if h2.inclusive else chi) - clo
-            if trips is None:
-                # symbolic uniform bounds: flattening replaces contiguous
-                # slice work with gathers, a loss for dense nests — only
-                # worth it inside an already-irregular (segmented) nest
-                if not self.in_seg_context():
-                    raise _VecBail("uniform inner bounds outside a segmented nest")
-            elif not trips <= 64:
-                raise _VecBail("inner trip count too large to flatten")
             child = _Vectorizer(self.low, h2, lb, ub, parent=self, kind="flat")
+            if clo is None or chi is None:
+                # symbolic uniform bounds: a dense nest, unless it sits in
+                # an already-irregular (segmented) one
+                if not self.in_seg_context():
+                    child.strict = "uniform inner bounds outside a segmented nest"
+            elif (chi + 1 if h2.inclusive else chi) - clo > 64:
+                child.strict = "inner trip count too large to flatten"
+            child.clean_bounds = self._clean(h2.lb) and self._clean(h2.ub_expr)
             child.setup_flat()
         else:
             child = _Vectorizer(self.low, h2, lb, ub, parent=self, kind="seg")
@@ -1709,21 +1822,22 @@ class _Vectorizer:
         self.emit(f"if {self.T} < 0: {self.T} = 0")
         self.nl = fresh("nl")
         self.emit(f"{self.nl} = {self.parent.nl} * {self.T}")
+        self.dims = self.parent.dims + [self.T]
         self.root.tiers.add("flattened")
 
     def setup_seg(self) -> None:
         fresh = self.low.fresh
-        pn = self.parent.nl
         self.st = fresh("st")
         self.hv = fresh("hv")
         self.ct = fresh("ct")
         self.of = fresh("of")
         self.nl = fresh("nl")
-        self.emit(f"{self.st} = _np.broadcast_to(_np.asarray({self.lo}), ({pn},))")
-        self.emit(f"{self.hv} = _np.broadcast_to(_np.asarray({self.hi}), ({pn},))")
+        self.emit(f"{self.st} = {self.parent.lanes(self.lo)}")
+        self.emit(f"{self.hv} = {self.parent.lanes(self.hi)}")
         self.emit(f"{self.ct} = _np.maximum({self.hv} - {self.st}, 0)")
         self.emit(f"{self.of} = _np.cumsum({self.ct}) - {self.ct}")
         self.emit(f"{self.nl} = int({self.ct}.sum())")
+        self.dims = [self.nl]
         self.root.tiers.add("segmented")
 
     def close(self) -> None:
@@ -1732,7 +1846,7 @@ class _Vectorizer:
         for name in self.temp_order:
             kind, t = self.temps[name]
             m = _mangle(name)
-            val = f"{t}[-1]" if kind == "vector" else t
+            val = f"_last({t})" if kind == "vector" else t
             self.emit(f"if {self.nl} > 0: {m} = {val}")
         m = _mangle(self.h.index)
         if self.kind == "flat":
@@ -1767,6 +1881,7 @@ class _Vectorizer:
         f = _Vectorizer(self.low, self.h, self.lo, self.hi, parent=self, kind="mask")
         f.sel = self.low.fresh("sl")
         f.nl = self.low.fresh("nl")
+        f.dims = [f.nl]
         self.emit(f"{f.sel} = _np.nonzero({mask_code})[0]")
         self.emit(f"{f.nl} = {f.sel}.shape[0]")
         return f
@@ -1795,15 +1910,13 @@ class _Vectorizer:
             _, a = self.vexpr(e.lhs)
             _, b = self.vexpr(e.rhs)
             t = self.low.fresh("mk")
-            self.emit(
-                f"{t} = _np.broadcast_to(_np.asarray(({a}) {e.op} ({b})), ({self.nl},))"
-            )
+            self.emit(f"{t} = {self.lanes(f'({a}) {e.op} ({b})')}")
             return t
         if isinstance(e, UnOp) and e.op == "!":
             return f"(~_np.asarray({self._mask_vec(e.operand)}))"
         _, c = self.vexpr(e)
         t = self.low.fresh("mk")
-        self.emit(f"{t} = _np.broadcast_to(_np.asarray({c}) != 0, ({self.nl},))")
+        self.emit(f"{t} = {self.lanes(f'_np.asarray({c}) != 0')}")
         return t
 
     def _scan_counters(self, frame: "_Vectorizer", then_body: Statement) -> None:
@@ -1962,38 +2075,84 @@ class _Vectorizer:
     def _affine_vec(self, i: _Idx) -> str:
         return f"({i.off} + {i.coef} * {self.level_vec_for(i.level)})"
 
-    def _slice_parts(self, name: str, idx: List[_Idx]) -> Optional[List[str]]:
-        """Subscript tuple using a slice, or None if a slice is unsafe.
+    def _clean(self, e: Expression) -> bool:
+        """``e`` can be evaluated before the loop (in its entry guards)."""
+        root = self.root
+        for n in e.walk():
+            if isinstance(n, Id):
+                if (
+                    n.name in root.counters
+                    or n.name in root.assigned
+                    or self.find_level(n.name) is not None
+                    or self.lookup_temp(n.name)[0] is not None
+                ):
+                    return False
+            elif not isinstance(n, (Num, BinOp, UnOp)):
+                return False
+        return True
 
-        Requires exactly one non-scalar axis, affine with positive step
-        and a guard-evaluable offset; emits the wrap/clip guards.
+    def _guard(self, code: str) -> None:
+        if code not in self.root.guards:
+            self.root.guards.append(code)
+
+    def _slice_parts(
+        self, name: str, idx: List[_Idx], store: bool = False
+    ) -> Optional[Tuple[str, str]]:
+        """Basic-slice subscript for an access, or None if a slice is unsafe.
+
+        Every non-scalar position must be affine in a distinct level of a
+        plain base x flat grid, with a positive step and an offset (and
+        level bounds) evaluable before the loop; a store must cover every
+        grid axis.  Emits the wrap/clip guards.  Returns the subscript
+        text and the suffix that transposes and expands the sliced view
+        into the grid's axis order.
         """
-        if self.parent is not None:
-            return None  # slices express only the base frame's lane order
-        non_scalar = [k for k, i in enumerate(idx) if i.kind != "scalar"]
-        if len(non_scalar) != 1:
+        levels = self.axis_levels()
+        if levels is None:
             return None
-        ax = non_scalar[0]
-        i = idx[ax]
-        if i.kind != "affine" or i.level is not self or i.coef <= 0 or not i.clean:
+        ax_level: Dict[int, _Vectorizer] = {}  # array axis -> level
+        for k, i in enumerate(idx):
+            if not i.clean:
+                return None
+            if i.kind == "scalar":
+                continue
+            if (
+                i.kind != "affine"
+                or i.coef <= 0
+                or i.level not in levels
+                or not i.level.clean_bounds
+                or i.level in ax_level.values()
+            ):
+                return None
+            ax_level[k] = i.level
+        covered = [lv for lv in levels if lv in ax_level.values()]
+        if not covered or (store and len(covered) != len(levels)):
             return None
         m = _mangle(name)
-        if not all(x.clean for x in idx):
-            return None
-        self.guards.append(f"({i.off}) + {i.coef} * ({self.lo}) >= 0")
-        self.guards.append(
-            f"({i.off}) + {i.coef} * ({self.hi}) - {i.coef} < {m}.shape[{ax}]"
-        )
         parts = []
         for k, x in enumerate(idx):
-            if k == ax:
-                parts.append(
-                    f"slice(({i.off}) + {i.coef} * ({self.lo}), "
-                    f"({i.off}) + {i.coef} * ({self.hi}), {i.coef})"
-                )
-            else:
+            lv = ax_level.get(k)
+            if lv is None:
                 parts.append(f"int({x.code})")
-        return parts
+                continue
+            self._guard(f"({x.off}) + {x.coef} * ({lv.lo}) >= 0")
+            self._guard(f"({x.off}) + {x.coef} * ({lv.hi}) - {x.coef} < {m}.shape[{k}]")
+            # a flat level ends at lo + T: its clamped trip count keeps a
+            # zero-trip level's slice empty when hi < lo
+            end = lv.hi if lv.kind == "base" else f"({lv.lo}) + {lv.T}"
+            parts.append(
+                f"slice(({x.off}) + {x.coef} * ({lv.lo}), "
+                f"({x.off}) + {x.coef} * ({end}), {x.coef})"
+            )
+        order = [ax_level[k] for k in sorted(ax_level)]  # view axis -> level
+        perm = [order.index(lv) for lv in covered]
+        view = ""
+        if perm != sorted(perm):
+            view += f".transpose({', '.join(map(str, perm))})"
+        tail = levels[levels.index(covered[0]):]
+        if len(tail) != len(covered):
+            view += "[" + ", ".join(":" if lv in covered else "None" for lv in tail) + "]"
+        return ", ".join(parts), view
 
     def _vector_parts(self, idx: List[_Idx]) -> List[str]:
         parts = []
@@ -2006,18 +2165,28 @@ class _Vectorizer:
                 parts.append(f"_as_idx({i.code})")
         return parts
 
+    def _check_dense(self) -> None:
+        """Under a dense flat level only slice accesses lower: a gather or
+        fancy store there would replace the per-row slices of the nest's
+        scalar outer loop (e.g. ``a[i*n + j]``)."""
+        strict = self.strict_levels()
+        if strict:
+            raise _VecBail(strict[0].strict)
+
     def _load(self, e: ArrayAccess) -> Tuple[str, str]:
         idx = [self._classify(i) for i in e.indices]
         self.root.accesses.append(_Access(e.name, idx, False, self.root.group))
         m = _mangle(e.name)
         if all(i.kind == "scalar" for i in idx):
             return "scalar", f"{m}[{', '.join(f'int({i.code})' for i in idx)}]"
-        parts = self._slice_parts(e.name, idx)
-        copy = ".copy()" if (parts is not None and e.name in self.root.stored) else ""
-        if parts is None:
-            parts = self._vector_parts(idx)  # gathers copy by construction
-        sub = ", ".join(parts)
-        return "vector", f"{m}[{sub}]{copy}"
+        sl = self._slice_parts(e.name, idx)
+        if sl is None:
+            self._check_dense()
+            # gathers copy by construction
+            return "vector", f"{m}[{', '.join(self._vector_parts(idx))}]"
+        sub, view = sl
+        copy = ".copy()" if e.name in self.root.stored else ""
+        return "vector", f"{m}[{sub}]{view}{copy}"
 
     def _injective(self, idx: List[_Idx]) -> bool:
         """Each lane owns a distinct element: plain fancy-store is safe."""
@@ -2029,19 +2198,42 @@ class _Vectorizer:
         covered = {i.level for i in idx if i.kind == "affine"}
         return need <= covered
 
+    def _full_index(self, idx: List[_Idx]) -> bool:
+        """The subscript's index arrays broadcast to this frame's whole grid:
+        an affine subscript covers each flat axis and one the first axis."""
+        flats = self.grid_flats()
+        covered = {i.level for i in idx if i.kind == "affine"}
+        return all(f in covered for f in flats) and any(lv not in flats for lv in covered)
+
     def _store(self, s: Assign) -> None:
         e = s.lhs
         idx = [self._classify(i) for i in e.indices]
         if all(i.kind == "scalar" for i in idx):
             raise _VecBail("store to a loop-invariant cell")
         if not self._injective(idx):
+            self._check_dense()
             self._scatter(s, idx)
             return
         self.root.accesses.append(_Access(e.name, idx, True, self.root.group))
         m = _mangle(e.name)
-        parts = self._slice_parts(e.name, idx) or self._vector_parts(idx)
-        tgt = f"{m}[{', '.join(parts)}]"
-        _, rc = self.vexpr(s.rhs)
+        sl = self._slice_parts(e.name, idx, store=True)
+        rk, rc = self.vexpr(s.rhs)
+        if sl is not None:
+            sub, view = sl
+            tgt = f"{m}[{sub}]" + (f"{view}[...]" if view else "")
+        else:
+            self._check_dense()
+            parts = self._vector_parts(idx)
+            if not self._full_index(idx):
+                # duplicate targets (certified loops): assign as C-order
+                # lanes so the last lane's value wins, as in serial order
+                for k, i in enumerate(idx):
+                    if i.kind != "scalar":
+                        parts[k] = self.low.fresh("ix")
+                        self.emit(f"{parts[k]} = {self.lanes(self._vector_parts([i])[0])}")
+                if rk == "vector":
+                    rc = self.lanes(rc)
+            tgt = f"{m}[{', '.join(parts)}]"
         if s.op == "=":
             self.emit(f"{tgt} = {rc}")
         elif s.op in ("+=", "-=", "*="):
@@ -2083,7 +2275,7 @@ class _Vectorizer:
         tup = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
         self.root.accesses.append(_Access(e.name, idx, True, self.root.group))
         self.root.scattered.add(e.name)
-        self.emit(f"_scat({op!r}, {_mangle(e.name)}, {tup}, {vc})")
+        self.emit(f"_scat({op!r}, {_mangle(e.name)}, {tup}, {vc}, {self.grid})")
 
     # -- expressions --------------------------------------------------------
 
@@ -2352,14 +2544,15 @@ def _lowering_key(
 
     The structural digest leaves loop ids out, but the generated source
     embeds them (``_wm``, ``_pred_s``, chunk keys), so they are keyed in
-    preorder alongside it.
+    preorder alongside it; one walk yields both.
     """
-    from repro.lang.digest import node_fingerprint
+    from repro.lang.digest import fingerprint_and_loop_ids
 
     steps = [getattr(f, "step", f) for f in fusions]
+    digest, loop_ids = fingerprint_and_loop_ids(prog)
     return (
-        node_fingerprint(prog),
-        tuple(n.loop_id for n in prog.walk() if isinstance(n, For)),
+        digest,
+        loop_ids,
         tuple(sorted((lid, _decision_sig(d)) for lid, d in (decisions or {}).items())),
         tuple((tuple(s.loops), s.index, tuple(s.arrays)) for s in steps),
         flags,

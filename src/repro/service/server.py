@@ -417,10 +417,14 @@ class AnalysisService:
         loop = asyncio.get_running_loop()
         while True:
             job = await self._queue.get()
+            # the queue wait ends when the job leaves the queue, before
+            # any compute
+            dequeued_at = time.monotonic()
+            queued_ms = round(1e3 * (dequeued_at - job.enqueued_at), 3)
             try:
                 if job.future.cancelled():
                     continue
-                if job.deadline_at is not None and time.monotonic() > job.deadline_at:
+                if job.deadline_at is not None and dequeued_at > job.deadline_at:
                     self.stats.bump("deadline_misses")
                     self._safe_set(
                         job.future,
@@ -428,12 +432,12 @@ class AnalysisService:
                             "status": "timeout",
                             "code": 504,
                             "error": "deadline expired while queued",
-                            "queued_ms": round(1e3 * (time.monotonic() - job.enqueued_at), 3),
+                            "queued_ms": queued_ms,
                         },
                     )
                     continue
                 reply = await loop.run_in_executor(self._compute, self._process, job.request)
-                reply["queued_ms"] = round(1e3 * (time.monotonic() - job.enqueued_at), 3)
+                reply["queued_ms"] = queued_ms
                 self._safe_set(job.future, reply)
             except asyncio.CancelledError:
                 self._safe_set(

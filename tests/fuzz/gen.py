@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -457,4 +457,135 @@ def racy_corpus(count: int = 12, base_seed: int = 10_000) -> List[FuzzProgram]:
             src = f"for (i = 0; i < n; i++) a[{c}] = i;\n"
             env = {"n": n, "a": np.zeros(n, dtype=np.int64)}
         out.append(FuzzProgram(seed=base_seed + k, source=src, env=env))
+    return out
+
+
+# --------------------------------------------------------------------------
+# dense rectangular nests (the flat-axis lowering's differential corpus)
+# --------------------------------------------------------------------------
+
+
+class _DenseGen:
+    """Rectangular 2-D/3-D nests over integer arrays, sized so every
+    subscript stays in range: offset, strided and permuted subscripts,
+    linearized ``a[i*W + j]`` reads, read-modify-write stores and inner
+    additive reductions, with symbolic or literal bounds."""
+
+    LEVELS = ("i", "j", "k")
+    EXTENTS = ("n", "m", "p")
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.env: Dict[str, Any] = {}
+        self.counter = 0
+        for name in self.EXTENTS:
+            # an occasional zero-trip or negative-trip level
+            self.env[name] = rng.choice([0, -2] if rng.random() < 0.08 else range(3, 8))
+
+    def fresh(self, prefix: str) -> str:
+        self.counter += 1
+        return f"{prefix}{self.counter}"
+
+    def term(self, lv: str, lb: int) -> Tuple[str, int]:
+        """An affine subscript in level ``lv`` and the largest value it takes."""
+        top = max(self.env[self.EXTENTS[self.LEVELS.index(lv)]], lb + 1) - 1
+        coef = self.rng.choice([1, 1, 1, 2, 3])
+        off = self.rng.choice([0, 0, 1, 2, -lb])
+        text = lv if coef == 1 else f"{coef} * {lv}"
+        if off:
+            text = f"{text} + {off}" if off > 0 else f"{text} - {-off}"
+        return text, coef * top + off
+
+    def array(self, levels: List[str], lbs: Dict[str, int], out: bool) -> str:
+        """A fresh array access over ``levels`` (possibly permuted, maybe
+        with a loop-invariant extra axis); allocates the array."""
+        name = self.fresh("o" if out else "a")
+        order = list(levels)
+        self.rng.shuffle(order)
+        subs, shape = [], []
+        for lv in order:
+            text, top = self.term(lv, lbs[lv])
+            subs.append(text)
+            shape.append(top + 1 + self.rng.randint(0, 2))
+        if self.rng.random() < 0.2:
+            c, pos = self.rng.randint(0, 2), self.rng.randint(0, len(subs))
+            subs.insert(pos, str(c))
+            shape.insert(pos, c + 1)
+        if out:
+            self.env[name] = np.zeros(shape, dtype=np.int64)
+        else:
+            self.env[name] = np.array(
+                [self.rng.randrange(-9, 10) for _ in range(int(np.prod(shape)))],
+                dtype=np.int64,
+            ).reshape(shape)
+        return f"{name}[" + "][".join(subs) + "]"
+
+    def linear(self, levels: List[str], lbs: Dict[str, int]) -> str:
+        """A linearized read ``a[i*W + j]`` spanning the two innermost levels."""
+        outer, inner = levels[-2], levels[-1]
+        w = max(self.env[self.EXTENTS[self.LEVELS.index(inner)]], 1) + self.rng.randint(0, 2)
+        top_o = max(self.env[self.EXTENTS[self.LEVELS.index(outer)]], lbs[outer] + 1)
+        name = self.fresh("l")
+        self.env[name] = np.array(
+            [self.rng.randrange(-9, 10) for _ in range(top_o * w + w)], dtype=np.int64
+        )
+        return f"{name}[{outer} * {w} + {inner}]"
+
+    def value(self, levels: List[str], lbs: Dict[str, int]) -> str:
+        parts = []
+        for _ in range(self.rng.randint(1, 3)):
+            r = self.rng.random()
+            if r < 0.55:
+                parts.append(self.array(levels, lbs, out=False))
+            elif r < 0.7 and len(levels) >= 2:
+                parts.append(self.linear(levels, lbs))
+            elif r < 0.85:
+                parts.append(f"{self.rng.choice(levels)} * {self.rng.randint(1, 4)}")
+            else:
+                parts.append(str(self.rng.randint(-5, 5)))
+        expr = parts[0]
+        for p in parts[1:]:
+            expr = f"({expr} {self.rng.choice(['+', '-', '*'])} {p})"
+        return expr
+
+    def nest(self) -> str:
+        depth = self.rng.choice([2, 2, 3])
+        levels = list(self.LEVELS[:depth])
+        lbs = {lv: self.rng.choice([0, 0, 1]) for lv in levels}
+        heads = []
+        for lv, ext in zip(levels, self.EXTENTS):
+            ub = ext if self.rng.random() < 0.75 else str(max(self.env[ext], 0))
+            heads.append(f"for ({lv} = {lbs[lv]}; {lv} < {ub}; {lv}++)")
+        r = self.rng.random()
+        if r < 0.3:
+            # inner additive reduction into a store over the outer levels
+            t = self.fresh("t")
+            self.env[t] = 0
+            body = (
+                "{\n"
+                f"    {t} = 0;\n"
+                f"    {heads[-1]}\n"
+                f"        {t} = {t} + {self.value(levels, lbs)};\n"
+                f"    {self.array(levels[:-1], lbs, out=True)} = {t};\n"
+                "}"
+            )
+            return "\n".join(heads[:-1]) + "\n" + body + "\n"
+        out = self.array(levels, lbs, out=True)
+        stmts = [f"{out} = {self.value(levels, lbs)};"]
+        if self.rng.random() < 0.35:
+            stmts.append(f"{out} = {out} + {self.value(levels, lbs)};")
+        if self.rng.random() < 0.25:
+            stmts.append(f"{self.array(levels, lbs, out=True)} = {out} * 2;")
+        return "\n".join(heads) + " {\n" + "\n".join(stmts) + "\n}\n"
+
+
+def dense_corpus(count: int = 60, base_seed: int = 20_000) -> List[FuzzProgram]:
+    """Deterministic dense-nest programs for the compiled backends' differential
+    test: one to three rectangular nests each, integer data only, so every
+    backend must reproduce the interpreter's final state exactly."""
+    out: List[FuzzProgram] = []
+    for k in range(count):
+        g = _DenseGen(random.Random(base_seed + k))
+        src = "".join(g.nest() for _ in range(g.rng.randint(1, 3)))
+        out.append(FuzzProgram(seed=base_seed + k, source=src, env=g.env))
     return out

@@ -317,8 +317,9 @@ def test_flattened_small_uniform_inner_loop():
 
 
 def test_large_uniform_inner_loop_stays_on_slice_path():
-    # big dense inner loops must NOT be flattened into gathers: the inner
-    # loop vectorizes as a slice and the outer stays a cheap scalar loop
+    # big dense inner loops must NOT be flattened into gathers: every
+    # subscript of the dense level is a slice axis, so the nest flattens
+    # with the level as an array axis and the reduction sums that axis
     src = """
     for (i = 0; i < n; i++) {
         s = 0.0;
@@ -334,9 +335,345 @@ def test_large_uniform_inner_loop_stays_on_slice_path():
         "out": np.zeros(200),
         "s": 0.0,
     }
-    ref, out, cp = run_both(src, env)
+    ref, out, cp = run_both(src, env, tier="flattened")
+    assert "slice(" in cp.source and "_as_idx" not in cp.source
+    assert "_np.repeat" not in cp.source and "_np.tile" not in cp.source
+
+
+# ---------------------------------------------------------------------------
+# flat levels as array axes
+# ---------------------------------------------------------------------------
+
+
+def run_exact(src, env, tier="flattened"):
+    """run_both, plus bit-for-bit equality of every array and scalar."""
+    ref, out, cp = run_both(src, env, tier=tier)
+    for k in ref:
+        a, b = ref[k], out[k]
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f"{k}\n{cp.source}"
+        else:
+            assert a == b, f"{k}: interp={a} compiled={b}\n{cp.source}"
+    return ref, out, cp
+
+
+def test_axes_permuted_subscript_order():
+    # UA(transf)'s shape: the nest runs i, j, k but the array is [i][k][j]
+    src = """
+    for (i = 0; i < n; i++)
+        for (j = 0; j < 4; j++)
+            for (k = 0; k < 3; k++) {
+                b[i][k][j] = a[i][j][k] * 2 + i - k;
+                c[k][i][j] = a[i][j][k] + b[i][k][j];
+            }
+    """
+    rng = np.random.default_rng(21)
+    env = {
+        "n": 9,
+        "a": rng.integers(-50, 50, (9, 4, 3)).astype(np.int64),
+        "b": np.zeros((9, 3, 4), dtype=np.int64),
+        "c": np.zeros((3, 9, 4), dtype=np.int64),
+    }
+    _, _, cp = run_exact(src, env)
+    assert ".transpose(" in cp.source
+    assert "_np.repeat" not in cp.source and "_np.tile" not in cp.source
+
+
+def test_axes_strided_and_offset_subscripts():
+    src = """
+    for (i = 0; i < n; i++)
+        for (j = 0; j < m; j++)
+            b[i + 1][2 * j + 1] = a[2 * i][3 * j + 2] + w[j + 1] * 0.5;
+    """
+    rng = np.random.default_rng(22)
+    env = {
+        "n": 6,
+        "m": 5,
+        "a": rng.standard_normal((12, 17)),
+        "b": np.zeros((7, 11)),
+        "w": rng.standard_normal(6),
+    }
+    _, _, cp = run_exact(src, env)
+    assert "_as_idx" not in cp.source
+
+
+def test_axes_negative_start_wraps_through_the_scalar_branch():
+    # a[i][j - 1] reads a[i][-1] at j == 0: the slice guard must reject and
+    # the scalar else-branch reproduce Python's wrap-around exactly
+    src = """
+    for (i = 0; i < n; i++)
+        for (j = 0; j < m; j++)
+            b[i][j] = a[i][j - 1] + j;
+    """
+    env = {
+        "n": 4,
+        "m": 6,
+        "a": np.arange(24, dtype=np.int64).reshape(4, 6),
+        "b": np.zeros((4, 6), dtype=np.int64),
+    }
+    run_exact(src, env)
+
+
+def test_axes_overlong_end_takes_the_guarded_scalar_branch():
+    # a[i][j + 1] runs one past the row: the guard sends the nest to the
+    # scalar loop, which faults at the same element as the interpreter
+    # after the same partial writes
+    src = """
+    for (i = 0; i < n; i++)
+        for (j = 0; j < m; j++)
+            b[i][j] = a[i][j + 1] * 3;
+    """
+    env = {
+        "n": 3,
+        "m": 5,
+        "a": np.arange(15, dtype=np.int64).reshape(3, 5),
+        "b": np.zeros((3, 5), dtype=np.int64),
+    }
+    prog = parse_program(src)
+    cp = compile_program(prog)
+    assert "flattened" in cp.loop_tiers.values()
+    ref_env, out_env = _deep(env), _deep(env)
+    with pytest.raises(InterpError):
+        run_program(prog, ref_env)
+    with pytest.raises(InterpError):
+        cp.run(out_env)
+    assert np.array_equal(ref_env["b"], out_env["b"])
+    assert ref_env["b"].any()
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_axes_zero_trip_level(m):
+    # hi < lo must give an empty slice, not a[..., 0:-3]
+    src = """
+    s = 7;
+    for (i = 0; i < n; i++) {
+        t = i;
+        for (j = 0; j < m; j++) {
+            b[i][j] = a[i][j] + 1;
+            t = t + a[i][j];
+        }
+        c[i] = t;
+    }
+    """
+    env = {
+        "n": 5,
+        "m": m,
+        "a": np.arange(30, dtype=np.int64).reshape(5, 6),
+        "b": np.zeros((5, 6), dtype=np.int64),
+        "c": np.zeros(5, dtype=np.int64),
+        "j": -1,
+        "t": 0,
+    }
+    ref, out, _ = run_exact(src, env)
+    assert not out["b"].any() and out["j"] == ref["j"] == 0
+
+
+def test_axes_symbolic_uniform_bounds():
+    # a dense nest whose subscripts are all slice axes now flattens
+    src = """
+    for (i = 1; i < n - 1; i++)
+        for (j = 1; j < m - 1; j++)
+            for (k = 0; k < p; k++)
+                c[i][j][k] = a[i - 1][j][k] + a[i + 1][j][k] - a[i][j - 1][k] * w[k];
+    """
+    rng = np.random.default_rng(23)
+    env = {
+        "n": 7,
+        "m": 6,
+        "p": 5,
+        "a": rng.standard_normal((7, 6, 5)),
+        "w": rng.standard_normal(5),
+        "c": np.zeros((7, 6, 5)),
+    }
+    _, _, cp = run_exact(src, env)
+    assert set(cp.loop_tiers.values()) == {"flattened"}
+
+
+def test_axes_flat_level_under_a_segmented_frame():
+    src = """
+    for (i = 0; i < n; i++) {
+        s = 0;
+        for (jj = rp[i]; jj < rp[i + 1]; jj++)
+            for (t = 0; t < 3; t++) {
+                z[i][jj][t] = val[jj] * w[t] + t;
+                s = s + val[jj] * w[t];
+            }
+        y[i] = s;
+    }
+    """
+    env = _csr_env(12, seed=24, empty_rows=True)
+    nnz = int(env["rp"][-1])
+    env.update(
+        s=0,
+        val=np.arange(1, nnz + 1, dtype=np.int64),
+        w=np.array([3, -1, 2], dtype=np.int64),
+        y=np.zeros(12, dtype=np.int64),
+        z=np.zeros((12, nnz, 3), dtype=np.int64),
+    )
+    run_exact(src, env, tier="segmented")
+
+
+def test_axes_mask_inside_a_flat_level():
+    src = """
+    for (i = 0; i < n; i++) {
+        s = 0;
+        for (j = 0; j < 4; j++) {
+            t = a[i][j];
+            if (t > 0) {
+                b[i][j] = t * 2;
+                s = s + t;
+            } else
+                t = 0 - t;
+            c[i][j] = t;
+        }
+        d[i] = s;
+    }
+    """
+    rng = np.random.default_rng(25)
+    env = {
+        "n": 10,
+        "a": rng.integers(-9, 9, (10, 4)).astype(np.int64),
+        "b": np.zeros((10, 4), dtype=np.int64),
+        "c": np.zeros((10, 4), dtype=np.int64),
+        "d": np.zeros(10, dtype=np.int64),
+        "s": 0,
+        "t": 0,
+    }
+    run_exact(src, env, tier="masked")
+
+
+def test_axes_reduction_lifted_out_of_an_axis():
+    src = """
+    for (i = 0; i < n; i++) {
+        s = a[i][0];
+        for (j = 0; j < m; j++)
+            s = s + a[i][j] * w[j];
+        for (k = 0; k < 3; k++)
+            s = s - k;
+        out[i] = s;
+    }
+    """
+    rng = np.random.default_rng(26)
+    env = {
+        "n": 11,
+        "m": 70,
+        "a": rng.integers(-20, 20, (11, 70)).astype(np.int64),
+        "w": rng.integers(-3, 4, 70).astype(np.int64),
+        "out": np.zeros(11, dtype=np.int64),
+        "s": 0,
+    }
+    run_exact(src, env)
+    # floats: each row sums like the per-row loop it replaces
+    env["a"] = rng.standard_normal((11, 70))
+    env["w"] = rng.standard_normal(70)
+    env["out"] = np.zeros(11)
+    run_both(src, env, tier="flattened")
+
+
+@pytest.mark.parametrize(
+    "src, tier",
+    [
+        # a counter fill under a mask inside a flat level: lanes in C order
+        (
+            """k = 0;
+            for (i = 0; i < n; i++)
+                for (j = 0; j < 4; j++)
+                    if (a[i][j] > 0) { idx[k] = i * 4 + j; k = k + 1; }""",
+            "masked",
+        ),
+        # a segmented level entered from a flat one, lifted back per lane
+        (
+            """for (i = 0; i < n; i++)
+                for (j = 0; j < 3; j++) {
+                    t = 0;
+                    for (q = rp[j]; q < rp[j + 1]; q++)
+                        t = t + v[q] * (i + 1);
+                    c[i][j] = t;
+                }""",
+            "segmented",
+        ),
+        # ordered scatter-adds from a flat level, int and float values
+        (
+            """for (i = 0; i < n; i++)
+                for (j = 0; j < 4; j++) {
+                    h[p[i][j]] = h[p[i][j]] + a[i][j];
+                    g[p[i][j]] = g[p[i][j]] + f[i][j];
+                }""",
+            "flattened",
+        ),
+    ],
+)
+def test_axes_lanes_for_masks_segments_and_scatters(src, tier):
+    rng = np.random.default_rng(29)
+    env = {
+        "n": 7,
+        "k": 0,
+        "t": 0,
+        "a": rng.integers(-3, 4, (7, 4)).astype(np.int64),
+        "f": rng.standard_normal((7, 4)) * 3,
+        "p": rng.integers(0, 5, (7, 4)).astype(np.int64),
+        "h": np.zeros(5, dtype=np.int64),
+        "g": np.zeros(5, dtype=np.int64),
+        "idx": np.zeros(28, dtype=np.int64),
+        "rp": np.array([0, 2, 2, 5], dtype=np.int64),
+        "v": rng.integers(-4, 5, 5).astype(np.int64),
+        "c": np.zeros((7, 3), dtype=np.int64),
+    }
+    run_exact(src, env, tier=tier)
+
+
+def test_axes_array_read_back_in_its_own_statement():
+    src = """
+    for (i = 0; i < n; i++)
+        for (j = 0; j < 5; j++) {
+            a[i][j] = a[i][j] * 2 + a[i][j];
+            b[i][j] = a[i][j] - 1;
+            a[i][j] = b[i][j] + a[i][j];
+        }
+    """
+    rng = np.random.default_rng(27)
+    env = {
+        "n": 8,
+        "a": rng.standard_normal((8, 5)),
+        "b": np.zeros((8, 5)),
+    }
+    run_exact(src, env)
+
+
+def test_axes_float_value_into_int_array():
+    src = """
+    for (i = 0; i < n; i++)
+        for (j = 0; j < 6; j++)
+            ia[i][j] = fa[i][j] * 1.5 - j;
+    """
+    rng = np.random.default_rng(28)
+    env = {
+        "n": 7,
+        "fa": rng.standard_normal((7, 6)) * 10,
+        "ia": np.zeros((7, 6), dtype=np.int64),
+    }
+    run_exact(src, env)
+
+
+def test_linearized_subscript_keeps_the_scalar_outer_loop():
+    # a[i*8 + j] spans two levels: flattening would turn the per-row
+    # slices into one big gather, so the dense bail stays for it
+    src = """
+    for (i = 0; i < n; i++)
+        for (j = 0; j < m; j++)
+            b[i * 8 + j] = a[i * 8 + j] * 2 + j;
+    """
+    env = {
+        "n": 6,
+        "m": 7,
+        "a": np.arange(48, dtype=np.int64),
+        "b": np.zeros(48, dtype=np.int64),
+    }
+    ref, out, cp = run_exact(src, env, tier="vectorized")
+    outer = next(iter(cp.loop_tiers))
+    assert cp.loop_tiers[outer] == "scalar"
+    assert cp.loop_bails[outer] == "uniform inner bounds outside a segmented nest"
     assert "flattened" not in cp.loop_tiers.values()
-    assert "vectorized" in cp.loop_tiers.values()
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +702,22 @@ def test_registry_benchmarks_achieve_expected_tiers():
                 f"{bench.name}: expected >= {n} {tier} loop(s), got {dict(got)} "
                 f"(bails: {cp.loop_bails})"
             )
+
+
+def test_ua_transf_lowers_without_lane_expansion():
+    # every level of UA(transf)'s nests is an array axis: neither the
+    # serial kernel nor the pool's chunk functions build repeat/tile lanes
+    from repro.analysis import AnalysisConfig
+    from repro.benchmarks import get_benchmark
+    from repro.parallelizer import parallelize
+
+    result = parallelize(get_benchmark("UA(transf)").source, AnalysisConfig.new_algorithm())
+    serial = compile_program(result.program, result.decisions, fusions=result.fusions)
+    par = compile_program(result.program, result.decisions, parallel=True, fusions=result.fusions)
+    assert par.chunks
+    for text in [serial.source, par.source, *par.chunks.values()]:
+        assert "_np.repeat" not in text and "_np.tile" not in text
+        assert "slice(" in text
 
 
 def test_inspect_segment_weights_matches_executed_trips():

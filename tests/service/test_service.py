@@ -139,6 +139,17 @@ class TestRequests:
         assert warm["results"][0]["annotated_c"] == result["annotated_c"]
         assert "served_ms" not in warm
 
+    def test_queued_ms_is_the_queue_wait_not_the_compute(self, daemon):
+        # idle daemon: the job leaves the queue at once, so its queue wait
+        # is a small part of a reply whose compute takes 300 ms
+        with daemon.client() as c:
+            reply = c.request(
+                {"op": "analyze", "source": _unique_source(), "__test_sleep_ms": 300}
+            )
+        assert reply["status"] == "ok"
+        assert reply["served_ms"] >= 300
+        assert reply["queued_ms"] < 0.25 * reply["served_ms"]
+
     def test_analyze_reports_properties(self, daemon):
         src = (
             "for (i = 0; i < m; i++) { idx[i+1] = idx[i] + (flag[i] > 0); }\n"
