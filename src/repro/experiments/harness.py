@@ -42,11 +42,11 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.analysis.config import AnalysisConfig
 from repro.benchmarks.base import Benchmark
-from repro.parallelizer.driver import ParallelizationResult, parallelize
+from repro.parallelizer.driver import ParallelizationResult, is_parallelized, parallelize
 from repro.runtime.machine import DEFAULT_MACHINE, MachineModel
 from repro.runtime.simulate import plan_from_decisions, simulate_app
 
@@ -137,6 +137,13 @@ def _compile(bench_name: str, pipeline: str) -> ParallelizationResult:
 
     bench = get_benchmark(bench_name)
     return parallelize(bench.source, PIPELINES[pipeline])
+
+
+def _compiled(spec: "CellSpec") -> bool:
+    """This process already holds the cell's :func:`_compile` result."""
+    from repro.benchmarks.registry import get_benchmark
+
+    return is_parallelized(get_benchmark(spec.benchmark).source, PIPELINES[spec.pipeline])
 
 
 def run_benchmark(
@@ -254,24 +261,6 @@ def _run_cell_shipping(spec: CellSpec):
     return payload, entries
 
 
-def _run_group_shipping(specs: List[CellSpec]):
-    """Pool entry point for cells that share one (benchmark, pipeline) key.
-
-    They run one after another in the same worker, so the key is analyzed
-    once, by the first cell; the rest hit the worker's cache.  Returns one
-    entry per cell: ``("ok", reply)`` with :func:`_run_cell_shipping`'s
-    reply, or ``("error", message)`` when the cell raised, so one bad
-    cell does not lose its siblings' results.
-    """
-    out = []
-    for spec in specs:
-        try:
-            out.append(("ok", _run_cell_shipping(spec)))
-        except Exception as exc:
-            out.append(("error", f"{type(exc).__name__}: {exc}"))
-    return out
-
-
 def _merge_cell_reply(reply) -> "BenchRun":
     """Install a worker's cache entries in the parent, then fold its stats."""
     from repro.ir import perfstats
@@ -358,24 +347,53 @@ def run_cells(
     Results always come back in spec order and always have one entry per
     spec, so figure tables render holes instead of crashing.
 
-    Cells that share a (benchmark, pipeline) key travel as one pool task
-    (:func:`_run_group_shipping`): a fan-out reaches the workers before
-    any result is back, so spreading one cold key over several workers
-    would analyze it in each of them.  A task's time limit is
-    ``cell_timeout`` per cell it carries.
+    A fan-out reaches the workers before any result is back, so a
+    (benchmark, pipeline) key that is cold in the parent would be analyzed
+    by every worker that draws one of its cells.  When a cold key has
+    more than one cell, the cells therefore run in two waves: first one
+    cell per cold key with every cell of a warm one (in the parent when
+    that is a single cell), whose cache entries come home; then the cold
+    keys' other cells, over workers forked from the now-warm parent.
     """
     specs = list(specs)
     timeout = resolved_cell_timeout(cell_timeout)
-    n = min(resolved_jobs(jobs), len(specs))
+    jobs = resolved_jobs(jobs)
+    if min(jobs, len(specs)) <= 1:
+        return [_run_cell_guarded(s) for s in specs]
+    cold: Set[Tuple[str, str]] = set()
+    later: List[int] = []
+    for i, s in enumerate(specs):
+        key = (s.benchmark, s.pipeline)
+        if key in cold:
+            later.append(i)
+        elif not _compiled(s):
+            cold.add(key)
+    if len(later) > 1:
+        wait = set(later)
+        waves = [[i for i in range(len(specs)) if i not in wait], later]
+    else:
+        waves = [list(range(len(specs)))]
+    results: List[Union[BenchRun, FailedCell]] = [None] * len(specs)  # type: ignore[list-item]
+    for wave in waves:
+        out = _fan_out([specs[i] for i in wave], jobs, timeout)
+        if out is None:
+            jobs = 1  # warned once; every later wave runs serially too
+            out = [_run_cell_guarded(specs[i]) for i in wave]
+        for i, r in zip(wave, out):
+            results[i] = r
+    return results
+
+
+def _fan_out(
+    specs: List[CellSpec], jobs: int, timeout: Optional[float]
+) -> Optional[List[Union[BenchRun, FailedCell]]]:
+    """One wave of :func:`run_cells`: a pool task per cell, or a serial
+    loop; ``None`` (after a warning) when no pool could start."""
+    n = min(jobs, len(specs))
     if n <= 1:
         return [_run_cell_guarded(s) for s in specs]
-    groups: Dict[Tuple[str, str], List[int]] = {}
-    for i, s in enumerate(specs):
-        groups.setdefault((s.benchmark, s.pipeline), []).append(i)
     try:
-        pool = ProcessPoolExecutor(
-            max_workers=min(n, len(groups)), mp_context=_pool_context()
-        )
+        pool = ProcessPoolExecutor(max_workers=n, mp_context=_pool_context())
     except (OSError, PermissionError) as exc:
         logger.warning(
             "process pool unavailable (%s: %s); running %d cells serially",
@@ -383,26 +401,21 @@ def run_cells(
             exc,
             len(specs),
         )
-        return [_run_cell_guarded(s) for s in specs]
+        return None
     results: List[Union[BenchRun, FailedCell]] = [None] * len(specs)  # type: ignore[list-item]
     pool_broken = False
     timed_out = False
     try:
-        futures = [
-            (idx, pool.submit(_run_group_shipping, [specs[i] for i in idx]))
-            for idx in groups.values()
-        ]
-        for idx, fut in futures:
-            limit = None if timeout is None else timeout * len(idx)
+        futures = {i: pool.submit(_run_cell_shipping, s) for i, s in enumerate(specs)}
+        for i, fut in futures.items():
+            spec = specs[i]
             try:
-                replies = fut.result(timeout=limit)
+                results[i] = _merge_cell_reply(fut.result(timeout=timeout))
             except FutureTimeoutError:
                 timed_out = True
                 fut.cancel()
-                for i in idx:
-                    logger.warning("cell %s exceeded %.1fs; marking failed", specs[i], timeout)
-                    results[i] = _failed_cell(specs[i], f"timed out after {timeout:.1f}s")
-                continue
+                logger.warning("cell %s exceeded %.1fs; marking failed", spec, timeout)
+                results[i] = _failed_cell(spec, f"timed out after {timeout:.1f}s")
             except BrokenProcessPool as exc:
                 if not pool_broken:
                     pool_broken = True
@@ -411,21 +424,17 @@ def run_cells(
                         type(exc).__name__,
                         exc,
                     )
-                replies = [("error", None)] * len(idx)
+                results[i] = _run_cell_guarded(spec)
             except Exception as exc:
-                replies = [("error", f"{type(exc).__name__}: {exc}")] * len(idx)
-            for i, (status, reply) in zip(idx, replies):
-                if status == "ok":
-                    results[i] = _merge_cell_reply(reply)
-                    continue
-                if reply is not None:
-                    # the cell itself raised in the worker: retry once
-                    # serially (transient worker-side state is the common
-                    # cause)
-                    logger.warning(
-                        "cell %s crashed in worker (%s); retrying serially", specs[i], reply
-                    )
-                results[i] = _run_cell_guarded(specs[i])
+                # the cell itself raised in the worker: retry once serially
+                # (transient worker-side state is the common cause)
+                logger.warning(
+                    "cell %s crashed in worker (%s: %s); retrying serially",
+                    spec,
+                    type(exc).__name__,
+                    exc,
+                )
+                results[i] = _run_cell_guarded(spec)
     finally:
         # a hung worker must not block shutdown: abandon it on timeout
         pool.shutdown(wait=not timed_out, cancel_futures=timed_out or pool_broken)

@@ -285,6 +285,11 @@ def _nestdec_install(
         analysis.diagnostics.append(dataclasses.replace(diag, span=span))
 
 
+def is_parallelized(source: str, config: AnalysisConfig) -> bool:
+    """Whether ``parallelize(source, config)`` would hit the in-memory cache."""
+    return (_source_digest(source), config.fingerprint()) in _PARALLELIZE_CACHE
+
+
 def parallelize(
     prog: Union[str, Program], config: Optional[AnalysisConfig] = None
 ) -> ParallelizationResult:

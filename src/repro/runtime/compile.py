@@ -56,7 +56,7 @@ import copy
 import hashlib
 import os
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -585,14 +585,23 @@ def _const_distinct(a: _Idx, b: _Idx) -> bool:
 
 
 class _Access:
-    __slots__ = ("array", "idx", "is_store", "group")
+    __slots__ = ("array", "idx", "is_store", "group", "loops")
 
-    def __init__(self, array: str, idx: List[_Idx], is_store: bool, group: int = 0):
+    def __init__(
+        self,
+        array: str,
+        idx: List[_Idx],
+        is_store: bool,
+        group: int,
+        loops: FrozenSet["_Vectorizer"],
+    ):
         self.array = array
         self.idx = idx
         self.is_store = is_store
         #: index of the top-level body statement this access came from
         self.group = group
+        #: the inner-loop (flat and seg) frames the access runs under
+        self.loops = loops
 
     def canon(self) -> Tuple[str, ...]:
         return tuple(i.canon() for i in self.idx)
@@ -1348,7 +1357,9 @@ class _Vectorizer:
     * an array with a store is only touched through accesses whose
       subscript tuples are pairwise structurally identical, provably
       disjoint constant cells, or pinned to the same base lane by a
-      shared affine axis across different top-level statements;
+      shared affine axis across different top-level statements.  A
+      certificate exempts only pairs that share no inner loop: it says
+      nothing about a dependence an inner level carries;
     * other vector-subscripted stores must be self-accumulations
       ``a[S] = a[S] op E`` and the only access to that array (ordered
       ``_scat``);
@@ -1623,11 +1634,6 @@ class _Vectorizer:
                 self.emit(f"{m} = {m} + {rec['c']} * {rec['frame'].nl}")
 
     def _check_aliasing(self) -> None:
-        if self.cert:
-            # the analysis certified cross-iteration independence; the
-            # per-lane statement order is preserved by construction and
-            # any runtime checks were re-emitted as guards
-            return
         by_array: Dict[str, List[_Access]] = {}
         for a in self.accesses:
             by_array.setdefault(a.array, []).append(a)
@@ -1635,15 +1641,20 @@ class _Vectorizer:
         for name, accs in by_array.items():
             if not any(a.is_store for a in accs):
                 continue
-            if name in self.scattered:
-                if len(accs) > 1:
-                    raise _VecBail("scattered array accessed more than once")
-                continue
             for i in range(len(accs)):
                 for j in range(i + 1, len(accs)):
                     A, B = accs[i], accs[j]
                     if not (A.is_store or B.is_store):
                         continue
+                    if self.cert and not (A.loops & B.loops):
+                        # the analysis certified the base level's
+                        # iterations independent and the per-lane
+                        # statement order is preserved by construction;
+                        # an inner loop both run under may still carry a
+                        # dependence (a[i][j] = a[i][j-1] + .. under i)
+                        continue
+                    if name in self.scattered:
+                        raise _VecBail("scattered array accessed more than once")
                     if A.canon() == B.canon():
                         continue
                     if len(A.idx) == len(B.idx) and all(
@@ -2155,6 +2166,15 @@ class _Vectorizer:
         return ", ".join(parts), view
 
     def _vector_parts(self, idx: List[_Idx]) -> List[str]:
+        """Fancy-index parts for a gather or a non-slice store.
+
+        Under a dense flat level only slice accesses lower: a gather or
+        fancy store there would replace the per-row slices of the nest's
+        scalar outer loop (e.g. ``a[i*n + j]``).
+        """
+        strict = self.strict_levels()
+        if strict:
+            raise _VecBail(strict[0].strict)
         parts = []
         for i in idx:
             if i.kind == "scalar":
@@ -2165,23 +2185,19 @@ class _Vectorizer:
                 parts.append(f"_as_idx({i.code})")
         return parts
 
-    def _check_dense(self) -> None:
-        """Under a dense flat level only slice accesses lower: a gather or
-        fancy store there would replace the per-row slices of the nest's
-        scalar outer loop (e.g. ``a[i*n + j]``)."""
-        strict = self.strict_levels()
-        if strict:
-            raise _VecBail(strict[0].strict)
+    def _record(self, name: str, idx: List[_Idx], is_store: bool) -> None:
+        """Note an array access for :meth:`_check_aliasing`."""
+        loops = frozenset(self.frame_levels() - {self.root})
+        self.root.accesses.append(_Access(name, idx, is_store, self.root.group, loops))
 
     def _load(self, e: ArrayAccess) -> Tuple[str, str]:
         idx = [self._classify(i) for i in e.indices]
-        self.root.accesses.append(_Access(e.name, idx, False, self.root.group))
+        self._record(e.name, idx, False)
         m = _mangle(e.name)
         if all(i.kind == "scalar" for i in idx):
             return "scalar", f"{m}[{', '.join(f'int({i.code})' for i in idx)}]"
         sl = self._slice_parts(e.name, idx)
         if sl is None:
-            self._check_dense()
             # gathers copy by construction
             return "vector", f"{m}[{', '.join(self._vector_parts(idx))}]"
         sub, view = sl
@@ -2211,10 +2227,9 @@ class _Vectorizer:
         if all(i.kind == "scalar" for i in idx):
             raise _VecBail("store to a loop-invariant cell")
         if not self._injective(idx):
-            self._check_dense()
             self._scatter(s, idx)
             return
-        self.root.accesses.append(_Access(e.name, idx, True, self.root.group))
+        self._record(e.name, idx, True)
         m = _mangle(e.name)
         sl = self._slice_parts(e.name, idx, store=True)
         rk, rc = self.vexpr(s.rhs)
@@ -2222,7 +2237,6 @@ class _Vectorizer:
             sub, view = sl
             tgt = f"{m}[{sub}]" + (f"{view}[...]" if view else "")
         else:
-            self._check_dense()
             parts = self._vector_parts(idx)
             if not self._full_index(idx):
                 # duplicate targets (certified loops): assign as C-order
@@ -2248,6 +2262,7 @@ class _Vectorizer:
     def _scatter(self, s: Assign, idx: List[_Idx]) -> None:
         """Vector-subscripted store: ordered accumulate or bail."""
         e = s.lhs
+        parts = self._vector_parts(idx)
         if s.op in ("+=", "-=", "*="):
             op, val = s.op[0], s.rhs
         elif s.op == "=":
@@ -2271,9 +2286,8 @@ class _Vectorizer:
         if e.name in _array_names(val):
             raise _VecBail("scatter value reads the scattered array")
         _, vc = self.vexpr(val)
-        parts = self._vector_parts(idx)
         tup = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
-        self.root.accesses.append(_Access(e.name, idx, True, self.root.group))
+        self._record(e.name, idx, True)
         self.root.scattered.add(e.name)
         self.emit(f"_scat({op!r}, {_mangle(e.name)}, {tup}, {vc}, {self.grid})")
 

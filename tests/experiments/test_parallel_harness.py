@@ -117,6 +117,25 @@ class TestFaultTolerance:
         assert len(warnings) == 1
         assert "no process support" in warnings[0].getMessage()
 
+    def test_pool_startup_failure_warns_once_across_waves(self, monkeypatch, caplog):
+        import logging
+
+        def denied(*a, **kw):
+            raise PermissionError("no process support in this sandbox")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", denied)
+        _PARALLELIZE_CACHE.clear()
+        # two cold keys with two cells each: a lead wave, then the rest
+        specs = [
+            CellSpec(b, None, "Cetus", p) for b in ("SDDMM", "AMGmk") for p in (4, 8)
+        ]
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
+            runs = run_cells(specs, jobs=4)
+        assert all(isinstance(r, harness.BenchRun) for r in runs)
+        assert [(r.benchmark, r.cores) for r in runs] == [(s.benchmark, s.cores) for s in specs]
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1
+
     def test_broken_pool_warns_once_and_retries_serially(self, monkeypatch, caplog):
         """Regression: a BrokenProcessPool used to silently fall back to
         the serial path with no trace of the triggering exception."""
@@ -232,6 +251,46 @@ class TestFaultTolerance:
         assert all(isinstance(r, harness.FailedCell) for r in runs)
         assert all("ValueError" in r.error for r in runs)
 
+    def test_timeout_fails_only_the_cell_that_hung(self, monkeypatch):
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self, timeout=None):
+                return self.value
+
+            def cancel(self):
+                return False
+
+        class Hung:
+            def result(self, timeout=None):
+                raise FutureTimeoutError()
+
+            def cancel(self):
+                return True
+
+        class FakePool:
+            def __init__(self, *a, **kw):
+                pass
+
+            def submit(self, fn, spec):
+                return Hung() if spec.cores == 8 else Done(fn(spec))
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        specs = [CellSpec("AMGmk", None, "Cetus+NewAlgo", p) for p in (4, 8, 16)]
+        run_cells(specs, jobs=1)  # warm key: a single wave
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        runs = run_cells(specs, jobs=2, cell_timeout=0.5)
+        # its siblings under the same (benchmark, pipeline) key keep their
+        # results, and the message names the limit that was applied
+        assert isinstance(runs[1], harness.FailedCell)
+        assert runs[1].error == "timed out after 0.5s"
+        assert isinstance(runs[0], harness.BenchRun) and isinstance(runs[2], harness.BenchRun)
+
     def test_cell_timeout_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.5")
         assert harness.resolved_cell_timeout() == 2.5
@@ -332,6 +391,28 @@ class TestWorkerCacheShipping:
         assert after["parallelize_misses"] == before["parallelize_misses"]
         assert [dataclasses.astuple(r) for r in second] == [
             dataclasses.astuple(r) for r in first
+        ]
+
+    def test_cold_key_is_analyzed_once_across_workers(self, monkeypatch):
+        # a fan-out reaches the workers before any result is back: the
+        # cells of one cold key must not analyze it in every worker, and
+        # its lone first cell runs in the parent, not in a one-worker pool
+        workers = []
+        real_pool = harness.ProcessPoolExecutor
+
+        def pool(max_workers, **kw):
+            workers.append(max_workers)
+            return real_pool(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        specs = [CellSpec("SDDMM", None, "Cetus", p) for p in (2, 4, 8, 16)]
+        self._clear()
+        before = perfstats.STATS.analysis_misses
+        runs = run_cells(specs, jobs=2)
+        assert perfstats.STATS.analysis_misses - before == 1
+        assert workers == [2]
+        assert [dataclasses.astuple(r) for r in runs] == [
+            dataclasses.astuple(r) for r in run_cells(specs, jobs=1)
         ]
 
     def test_worker_ships_only_what_its_cell_added(self):

@@ -468,8 +468,8 @@ def racy_corpus(count: int = 12, base_seed: int = 10_000) -> List[FuzzProgram]:
 class _DenseGen:
     """Rectangular 2-D/3-D nests over integer arrays, sized so every
     subscript stays in range: offset, strided and permuted subscripts,
-    linearized ``a[i*W + j]`` reads, read-modify-write stores and inner
-    additive reductions, with symbolic or literal bounds."""
+    linearized ``a[i*W + j]`` reads, read-modify-write stores, inner
+    additive reductions and recurrences, with symbolic or literal bounds."""
 
     LEVELS = ("i", "j", "k")
     EXTENTS = ("n", "m", "p")
@@ -548,7 +548,37 @@ class _DenseGen:
             expr = f"({expr} {self.rng.choice(['+', '-', '*'])} {p})"
         return expr
 
-    def nest(self) -> str:
+    def recurrence(self) -> str:
+        """A nest ``r[..v + d..] = r[..v..] + value`` over an initialized
+        array: a dependence carried by one level ``v`` (an inner one under
+        a parallel outer loop, or the outer one), forward or backward."""
+        levels, lbs, heads = self.heads()
+        carried = self.rng.choice(levels)
+        d = self.rng.randint(1, 2) * self.rng.choice([1, -1])
+        name = self.fresh("r")
+        order = list(levels)
+        self.rng.shuffle(order)
+        dst, src, shape = [], [], []
+        for lv in order:
+            if lv == carried:
+                top = max(self.env[self.EXTENTS[self.LEVELS.index(lv)]], lbs[lv] + 1) - 1
+                dst.append(f"{lv} + {d}" if d > 0 else lv)
+                src.append(lv if d > 0 else f"{lv} + {-d}")
+                shape.append(top + 1 + abs(d))
+            else:
+                text, top = self.term(lv, lbs[lv])
+                dst.append(text)
+                src.append(text)
+                shape.append(top + 1)
+        self.env[name] = np.array(
+            [self.rng.randrange(-9, 10) for _ in range(int(np.prod(shape)))], dtype=np.int64
+        ).reshape(shape)
+        value = self.value(levels, lbs)
+        stmt = f"{name}[{']['.join(dst)}] = {name}[{']['.join(src)}] + {value};"
+        return "\n".join(heads) + " {\n" + stmt + "\n}\n"
+
+    def heads(self) -> Tuple[List[str], Dict[str, int], List[str]]:
+        """Levels, lower bounds and ``for`` headers of a fresh 2-D/3-D nest."""
         depth = self.rng.choice([2, 2, 3])
         levels = list(self.LEVELS[:depth])
         lbs = {lv: self.rng.choice([0, 0, 1]) for lv in levels}
@@ -556,6 +586,10 @@ class _DenseGen:
         for lv, ext in zip(levels, self.EXTENTS):
             ub = ext if self.rng.random() < 0.75 else str(max(self.env[ext], 0))
             heads.append(f"for ({lv} = {lbs[lv]}; {lv} < {ub}; {lv}++)")
+        return levels, lbs, heads
+
+    def nest(self) -> str:
+        levels, lbs, heads = self.heads()
         r = self.rng.random()
         if r < 0.3:
             # inner additive reduction into a store over the outer levels
@@ -579,13 +613,23 @@ class _DenseGen:
         return "\n".join(heads) + " {\n" + "\n".join(stmts) + "\n}\n"
 
 
-def dense_corpus(count: int = 60, base_seed: int = 20_000) -> List[FuzzProgram]:
+def dense_corpus(
+    count: int = 60, base_seed: int = 20_000, recurrences: int = 20
+) -> List[FuzzProgram]:
     """Deterministic dense-nest programs for the compiled backends' differential
     test: one to three rectangular nests each, integer data only, so every
-    backend must reproduce the interpreter's final state exactly."""
+    backend must reproduce the interpreter's final state exactly.  The
+    ``count`` vectorizable programs come first, then ``recurrences``
+    programs of one or two nests with a dependence carried by one level
+    (:meth:`_DenseGen.recurrence`)."""
     out: List[FuzzProgram] = []
     for k in range(count):
         g = _DenseGen(random.Random(base_seed + k))
         src = "".join(g.nest() for _ in range(g.rng.randint(1, 3)))
         out.append(FuzzProgram(seed=base_seed + k, source=src, env=g.env))
+    for k in range(recurrences):
+        seed = base_seed + count + k
+        g = _DenseGen(random.Random(seed))
+        src = "".join(g.recurrence() for _ in range(g.rng.randint(1, 2)))
+        out.append(FuzzProgram(seed=seed, source=src, env=g.env))
     return out

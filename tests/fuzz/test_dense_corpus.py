@@ -55,12 +55,29 @@ def test_dense_corpus_matches_the_interpreter_exactly():
 
 
 def test_dense_corpus_lowers_as_array_axes():
-    # the corpus must exercise the flattened tier, not bail to scalar loops
+    # the vectorizable programs must exercise the flattened tier, not bail
+    # to scalar loops
     tiers = Counter()
-    for fp in dense_corpus():
+    for fp in dense_corpus(recurrences=0):
         cp = compile_program(parse_program(fp.source))
         tiers.update(cp.loop_tiers.values())
     assert tiers["flattened"] > 2 * tiers["scalar"], dict(tiers)
+
+
+def test_dense_corpus_recurrences_reach_certified_loops():
+    # a parallel verdict certifies only the outer level: the recurrence
+    # programs must put carried dependences under certified loops, where
+    # the lowering has to refuse the nest rather than flatten it
+    config = AnalysisConfig.new_algorithm()
+    reached = 0
+    for fp in dense_corpus(count=0):
+        result = parallelize(fp.source, config)
+        cp = compile_program(result.program, result.decisions, fusions=result.fusions)
+        reached += any(
+            d.parallel and cp.loop_bails.get(k, "").startswith("aliasing")
+            for k, d in result.decisions.items()
+        )
+    assert reached >= 10, reached
 
 
 def test_dense_corpus_is_deterministic():

@@ -676,6 +676,81 @@ def test_linearized_subscript_keeps_the_scalar_outer_loop():
     assert "flattened" not in cp.loop_tiers.values()
 
 
+def run_decided(src, env, backend):
+    """Interpreter vs ``execute`` with the analysis decisions: exact parity."""
+    from repro.analysis import AnalysisConfig
+    from repro.parallelizer import parallelize
+    from repro.runtime.compile import execute
+
+    result = parallelize(src, AnalysisConfig.new_algorithm())
+    assert result.decisions[result.program.stmts[0].loop_id].parallel
+    ref = run_program(parse_program(src), _deep(env))
+    out = execute(
+        result.program,
+        _deep(env),
+        decisions=result.decisions,
+        backend=backend,
+        fusions=result.fusions,
+    )
+    for k, a in ref.items():
+        if isinstance(a, np.ndarray):
+            assert a.dtype == out[k].dtype and np.array_equal(a, out[k]), k
+    return result
+
+
+CERT_ENV = {
+    "n": 6,
+    "m": 8,
+    "a": np.arange(48, dtype=np.int64).reshape(6, 8) % 7 - 3,
+    "b": np.arange(48, dtype=np.int64).reshape(6, 8) % 5 - 2,
+    "c": np.arange(336, dtype=np.int64).reshape(6, 7, 8) % 9 - 4,
+}
+
+
+@pytest.mark.parametrize("backend", ["compiled", "compiled-parallel", "auto"])
+@pytest.mark.parametrize(
+    "src",
+    [
+        # a running sum along each row: j carries the dependence
+        """
+        for (i = 0; i < n; i++)
+            for (j = 1; j < m; j++)
+                a[i][j] = a[i][j - 1] + b[i][j];
+        """,
+        # the same over a literal trip count (a small flat level)
+        """
+        for (i = 0; i < n; i++)
+            for (j = 1; j < 8; j++)
+                a[i][j] = a[i][j - 1] + b[i][j];
+        """,
+        # the middle level of three carries it
+        """
+        for (i = 0; i < n; i++)
+            for (j = 0; j < 6; j++)
+                for (k = 0; k < m; k++)
+                    c[i][j + 1][k] = c[i][j][k] * 2 + b[i][k];
+        """,
+    ],
+    ids=["row", "row-literal-trips", "middle-level"],
+)
+def test_axes_certified_outer_loop_with_an_inner_recurrence(src, backend):
+    # a parallel verdict certifies the outer level only: the dependence
+    # an inner level carries must keep the nest off the array-axis path
+    run_decided(src, CERT_ENV, backend)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "compiled-parallel"])
+def test_axes_certified_outer_loop_without_a_carried_dependence(backend):
+    src = """
+    for (i = 0; i < n; i++)
+        for (j = 0; j < m; j++)
+            a[i][j] = a[i][j] * 2 + b[i][j];
+    """
+    result = run_decided(src, CERT_ENV, backend)
+    cp = compile_program(result.program, result.decisions, fusions=result.fusions)
+    assert list(cp.loop_tiers.values()) == ["flattened"], cp.loop_bails
+
+
 # ---------------------------------------------------------------------------
 # registry tier pins + inspector weights
 # ---------------------------------------------------------------------------
