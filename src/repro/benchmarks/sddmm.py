@@ -158,8 +158,9 @@ BENCHMARK = Benchmark(
         "Cetus+NewAlgo": "outer",
     },
     main_component="sddmm",
-    # the sampled dot-product nest lowers through the segmented tier
-    expected_tiers={"segmented": 1},
+    # the col_ptr fill lowers masked (change detection + counter store),
+    # the sampled dot-product nest segmented
+    expected_tiers={"masked": 1, "segmented": 1},
     notes=(
         "Fill loop = paper Figure 11; kernel = Figure 10. col_ptr is proven "
         "intermittently monotonic; the run-time check -1+n_cols <= "

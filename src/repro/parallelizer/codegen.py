@@ -88,8 +88,8 @@ def evaluate_runtime_check(check: RuntimeCheck, env: Dict[str, Any]) -> bool:
     """Evaluate a run-time check against a concrete environment.
 
     The environment must bind every symbol in the check, including the
-    ``<counter>_max`` symbols (the post-loop values of the intermittent
-    fill counters).
+    ``<counter>_max`` symbols (the last subscript each intermittent fill
+    stored at, see :func:`counter_max_bindings`).
     """
     expr = parse_expr(check.text)
     interp = Interpreter(dict(env))
@@ -100,8 +100,11 @@ def counter_max_bindings(result: ParallelizationResult, env: Dict[str, Any]) -> 
     """Concrete values for the ``<counter>_max`` symbols after execution.
 
     Runs the program on ``env`` (copy) and reads back each intermittent
-    property's counter; the returned map can be merged into the environment
-    handed to :func:`evaluate_runtime_check`.
+    property's counter.  The fill stores at the counter and then bumps it,
+    so the last subscript it stored at, the bound of the proven region
+    ``[Λ : <counter>_max]``, is the post-loop value minus one.  The
+    returned map can be merged into the environment handed to
+    :func:`evaluate_runtime_check`.
     """
     import numpy as np
 
@@ -112,5 +115,5 @@ def counter_max_bindings(result: ParallelizationResult, env: Dict[str, Any]) -> 
     bindings: Dict[str, int] = {}
     for prop in result.analysis.properties.all_properties():
         if prop.counter_max is not None and prop.counter_var in out:
-            bindings[prop.counter_max.name] = int(out[prop.counter_var])
+            bindings[prop.counter_max.name] = int(out[prop.counter_var]) - 1
     return bindings

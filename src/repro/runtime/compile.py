@@ -253,6 +253,89 @@ def _segred(op, vals, offs, counts):
     return out
 
 
+def _segwin(st, hv, of, ct, nl):
+    """A segmented level's lanes: its windows ``[st, hv)`` concatenated.
+
+    When the windows abut and none is reversed (``st[1:] == hv[:-1]`` and
+    ``hv >= st``, the monotone row pointer the analysis proves) the lanes
+    are exactly ``arange(st[0], hv[-1])`` and come back as that ``slice``,
+    with no lane vector built.  Otherwise (and for non-integer bounds,
+    which must keep faulting) the C-order lane vector itself.
+    """
+    if (
+        st.shape[0]
+        and st.dtype.kind == "i"
+        and hv.dtype.kind == "i"
+        and (st[1:] == hv[:-1]).all()
+        and (hv >= st).all()
+    ):
+        return slice(int(st[0]), int(hv[-1]))
+    return np.repeat(st - of, ct) + np.arange(nl)
+
+
+def _wvec(w):
+    """A segmented level's lanes (:func:`_segwin`) as an index vector."""
+    return np.arange(w.start, w.stop) if isinstance(w, slice) else w
+
+
+def _wix(w, off, c, n):
+    """Subscript ``off + c*j`` (``c > 0``) over a segmented level's lanes
+    ``w``, on an array axis of length ``n``.
+
+    A window slice stays a basic slice when every index it denotes is in
+    range.  Otherwise the lanes become a vector, so a subscript a gather
+    would wrap (negative) or reject (past the end, non-integer) does so
+    exactly as before, where a slice would silently truncate.
+    """
+    if isinstance(w, slice):
+        a = off + c * w.start
+        if isinstance(a, (int, np.integer)) and a >= 0 and off + c * (w.stop - 1) < n:
+            return slice(a, off + c * w.stop, c)
+        w = np.arange(w.start, w.stop)
+    return off + c * w
+
+
+def _rowg(arr, e, k, j):
+    """The gather ``arr[e*k + j]`` over a flat level's index ``j = arange(t)``.
+
+    When ``t == k > 0``, ``arr`` is 1-D and holds whole rows of ``k``, and
+    ``e`` and ``k`` are integers, lane ``e`` reads exactly row ``e`` of the
+    ``(-1, k)`` view, so whole rows are gathered: a negative or
+    out-of-range row wraps or raises as the flat gather does, and the
+    result has the flat gather's shape, dtype and C-contiguous layout.
+    ``e`` is constant along ``j`` (its last axis has length 1).  Anything
+    else (``trunc(e)*k`` differs from ``trunc(e*k)`` for a float ``e``)
+    takes the flat gather.
+    """
+    ea = np.asarray(e)
+    if (
+        isinstance(k, (int, np.integer))
+        and j.shape[0] == k > 0
+        and arr.ndim == 1
+        and arr.shape[0] % k == 0
+        and ea.dtype.kind == "i"
+        and (ea.ndim == 0 or ea.shape[-1] == 1)
+    ):
+        return arr.reshape(-1, k)[ea[..., 0] if ea.ndim else ea]
+    return arr[_as_idx(e * k + j)]
+
+
+def _chg(e, r):
+    """Lanes where a change-detection guard ``e != r`` holds.
+
+    ``r`` is updated only as ``if (e != r) { ..; r = e; }``, so at the top
+    of lane ``i`` it equals ``e[i-1]`` (lane 0: its entry value ``r``).
+    ``==`` is an equivalence on non-NaN values and a NaN lane always
+    differs, so comparing each lane with the previous one decides every
+    lane as the serial loop does.
+    """
+    m = np.empty(e.shape[0], dtype=bool)
+    if e.shape[0]:
+        m[0] = e[0] != r
+        np.not_equal(e[1:], e[:-1], out=m[1:])
+    return m
+
+
 def _mmerge(prior, sel, val, shape):
     """Masked merge: ``prior`` with ``val`` written at the ``sel`` lanes.
 
@@ -360,6 +443,11 @@ def _exec_namespace() -> Dict[str, Any]:
         "_last": _last,
         "_scat": _scat,
         "_segred": _segred,
+        "_segwin": _segwin,
+        "_wvec": _wvec,
+        "_wix": _wix,
+        "_rowg": _rowg,
+        "_chg": _chg,
         "_mmerge": _mmerge,
         "_time": time.perf_counter,
         "_wm": _wm_record,
@@ -1253,10 +1341,13 @@ class _Lowerer:
     def _check_code(self, text: str) -> Optional[str]:
         """Lower a runtime ``if``-clause to code evaluated at loop entry.
 
-        ``<counter>_max`` symbols denote a fill counter's post-loop value,
-        which at the consumer loop's entry point is the counter's current
-        value; an explicit env binding still wins if the caller provides
-        one.
+        ``<counter>_max`` bounds the region ``[Λ : <counter>_max]`` a
+        counter fill proved monotone, so it is the last subscript the fill
+        stored at.  A fill stores at the counter and then bumps it by one,
+        so at the consumer loop's entry point that is the counter's value
+        minus one (its post-loop value is one past the last store, an
+        element the fill never wrote).  An explicit env binding still wins
+        if the caller provides one.
         """
         from repro.lang.cparser import parse_expr
 
@@ -1269,7 +1360,7 @@ class _Lowerer:
             if isinstance(n, Id) and n.name not in self.names:
                 if n.name.endswith("_max") and n.name[: -len("_max")] in self.names:
                     base = _mangle(n.name[: -len("_max")])
-                    subst[n.name] = f"(_env[{n.name!r}] if {n.name!r} in _env else {base})"
+                    subst[n.name] = f"(_env[{n.name!r}] if {n.name!r} in _env else {base} - 1)"
                 else:
                     return None
         self._subst = subst
@@ -1332,11 +1423,23 @@ class _Vectorizer:
     * **seg** — a variable-trip (CSR-shaped) inner loop whose bounds are
       per-parent-lane vectors: lanes are the concatenation of every
       segment (exclusive prefix-sum offsets, ``np.repeat`` expansion,
-      order-preserving ``_segred``/``np.add.reduceat`` reductions);
+      order-preserving ``_segred``/``np.add.reduceat`` reductions).  When
+      the windows abut and none is reversed (a monotone row pointer, a
+      run-time O(rows) compare in ``_segwin``) the lanes are one range,
+      and a subscript affine in the level reads or writes it as a basic
+      slice (``_wix``) instead of gathering through a lane vector;
     * **mask** — an ``if`` branch: lanes are the parent lanes where the
       (short-circuit-faithful) condition holds, selected by
       ``np.nonzero``; guarded counter fills ``k = k + c`` become
-      ``k + c*arange(nsel)`` lanes.
+      ``k + c*arange(nsel)`` lanes, and a change-detection scalar
+      ``if (E != r) { ..; r = E; }`` compares consecutive lanes of ``E``
+      (``_chg``).
+
+    A linearized read ``a[E*K + t]`` in the flat frame of a level ``t``
+    from 0 gathers whole rows of ``a``'s ``(-1, K)`` view when, at run
+    time, ``t`` spans exactly ``K`` (``_rowg``).  Windows and row gathers
+    check their premise at run time and otherwise compute exactly what
+    the lane-vector form computes.
 
     Seg and mask frames have a 1-D grid: entering one, and feeding
     ``_scat``/``_segred``/``_mmerge`` or a whole-loop reduction,
@@ -1365,7 +1468,8 @@ class _Vectorizer:
       ``_scat``);
     * scalar assignments become per-lane temporaries (final value =
       last lane, exported with a lane-count guard for inner frames) or
-      ``+``/``-`` reductions;
+      ``+``/``-`` reductions; a scalar read before its definition is
+      loop-carried and bails, except a change-detection scalar;
     * a subscript tuple whose non-scalar positions are affine in distinct
       base/flat levels (positive step, offset evaluable before the loop)
       becomes basic slices, transposed and expanded to the grid's axis
@@ -1397,6 +1501,7 @@ class _Vectorizer:
         self.kind = kind
         self.uid = low.fresh("L")  # unique level identity for canon strings
         self.vi: Optional[str] = None
+        self.win: Optional[str] = None  # seg frames: see window()
         #: scalar name -> (kind, temp var) for this-frame definitions
         self.temps: Dict[str, Tuple[str, str]] = {}
         self.temp_order: List[str] = []
@@ -1425,6 +1530,8 @@ class _Vectorizer:
             #: guarded fill counters: name -> {c, frame, bumped}
             self.counters: Dict[str, Dict[str, Any]] = {}
             self.counter_codes: Dict[str, str] = {}
+            #: change-detection scalars: name -> (then-frame, guard lanes)
+            self.changes: Dict[str, Tuple["_Vectorizer", str]] = {}
             self.tiers: Set[str] = set()
             self.group = 0
             self.body_node: Optional[Statement] = None
@@ -1461,13 +1568,20 @@ class _Vectorizer:
             self.emit(f"{self.vi} = ({self.lo}) + _np.arange({self.T})")
         elif self.kind == "seg":
             self.vi = self.low.fresh("vi")
-            self.emit(
-                f"{self.vi} = _np.repeat({self.st} - {self.of}, {self.ct})"
-                f" + _np.arange({self.nl})"
-            )
+            self.emit(f"{self.vi} = _wvec({self.window()})")
         else:  # mask: the parent's index at the selected lanes
             self.vi = self.expand(self.parent.index_vec())
         return self.vi
+
+    def window(self) -> str:
+        """A seg frame's lanes as a subscript: a slice when its windows
+        abut, else the lane vector (:func:`_segwin`)."""
+        if self.win is None:
+            self.win = self.low.fresh("w")
+            self.emit(
+                f"{self.win} = _segwin({self.st}, {self.hv}, {self.of}, {self.ct}, {self.nl})"
+            )
+        return self.win
 
     def expand(self, code: str) -> str:
         """Re-express a parent-lane value in this frame's lane space."""
@@ -1705,6 +1819,14 @@ class _Vectorizer:
         if name in root.counters:
             self._counter_bump(s, root.counters[name])
             return
+        if name in root.changes:
+            # the one update `r = E` of a change-detection scalar: its final
+            # value is E at the last lane whose guard held
+            f, ev = root.changes[name]
+            if f is not self:
+                raise _VecBail("loop-carried scalar")
+            self.emit(f"if {self.nl} > 0: {_mangle(name)} = {ev}[{self.sel}[-1]]")
+            return
         if name in self.temps:
             # redefinition from this-lane state: stays elementwise
             kind, code = self._combine(self.temps[name], s)
@@ -1875,8 +1997,19 @@ class _Vectorizer:
 
     def _masked(self, s: If) -> None:
         mv = self.low.fresh("mk")
-        self.emit(f"{mv} = {self._mask_vec(s.cond)}")
+        chg = self._change_scalar(s)
+        if chg is None:
+            self.emit(f"{mv} = {self._mask_vec(s.cond)}")
+        else:
+            kind, code = self.vexpr(chg[1])
+            if kind == "scalar":
+                raise _VecBail("loop-carried scalar")
+            ev = self.low.fresh("ce")
+            self.emit(f"{ev} = {self.lanes(code)}")
+            self.emit(f"{mv} = _chg({ev}, {_mangle(chg[0])})")
         then_f = self._make_mask_child(mv)
+        if chg is not None:
+            self.root.changes[chg[0]] = (then_f, ev)
         self.root.tiers.add("masked")
         self._scan_counters(then_f, s.then)
         for st in _flatten(s.then):
@@ -1887,6 +2020,50 @@ class _Vectorizer:
             for st in _flatten(s.els):
                 els_f.vstmt(st)
             els_f.close()
+
+    def _change_scalar(self, s: If) -> Optional[Tuple[str, Expression]]:
+        """``(r, E)`` when ``s`` is ``if (E != r) { ..; r = E; }`` (or
+        ``r != E``) for a change-detection scalar ``r``: assigned only by
+        that ``r = E``, at the top of the then-branch, and read nowhere
+        else in the loop, with ``E`` reading no array the loop stores and
+        no scalar it assigns.  The guard then compares consecutive lanes
+        of ``E`` (:func:`_chg`), the paper's Figure 11 fill."""
+        c = s.cond
+        if not (isinstance(c, BinOp) and c.op == "!="):
+            return None
+        root = self.root
+        for rx, ex in ((c.rhs, c.lhs), (c.lhs, c.rhs)):
+            if not isinstance(rx, Id):
+                continue
+            name = rx.name
+            if (
+                name not in root.assigned
+                or name in root.counters
+                or name in root.reds
+                or name in root.changes
+                or self.has_level(name)
+                or self.lookup_temp(name)[0] is not None
+                or _names_in(ex) & (root.assigned | root.stored)
+            ):
+                continue
+            upd = [
+                st
+                for st in _flatten(s.then)
+                if isinstance(st, Assign) and isinstance(st.lhs, Id) and st.lhs.name == name
+            ]
+            if len(upd) != 1 or upd[0].op != "=" or not _ast_eq(upd[0].rhs, ex):
+                continue
+            # the guard's read and the update's target are its only mentions
+            # (a write in an earlier branch would be a temporary of a sibling
+            # frame, invisible from here)
+            mentions = sum(
+                1
+                for n in root.body_node.walk()
+                if isinstance(n, (Id, ArrayAccess, Decl)) and n.name == name
+            )
+            if mentions == 2:
+                return name, ex
+        return None
 
     def _make_mask_child(self, mask_code: str) -> "_Vectorizer":
         f = _Vectorizer(self.low, self.h, self.lo, self.hi, parent=self, kind="mask")
@@ -2190,16 +2367,77 @@ class _Vectorizer:
         loops = frozenset(self.frame_levels() - {self.root})
         self.root.accesses.append(_Access(name, idx, is_store, self.root.group, loops))
 
+    def _window_parts(self, name: str, idx: List[_Idx], store: bool = False):
+        """Subscript for an access through a segmented level's windows, or None.
+
+        One position ``off + c*j`` (``c > 0``) in the level ``j`` of the seg
+        frame this frame's grid starts with, every other position scalar:
+        :func:`_wix` makes it a basic slice whenever the windows abut.
+        Returns the subscript text and the suffix that expands the 1-D
+        result over the flat axes after the seg axis.  A store must sit
+        in the seg frame itself.
+        """
+        pos = [k for k, i in enumerate(idx) if i.kind != "scalar"]
+        if len(pos) != 1:
+            return None
+        k, i = pos[0], idx[pos[0]]
+        flats = self.grid_flats()
+        seg = flats[-1].parent if flats else self
+        if (
+            seg.kind != "seg"
+            or i.kind != "affine"
+            or i.level is not seg
+            or i.coef <= 0
+            or (store and flats)
+            or self.strict_levels()
+        ):
+            return None
+        parts = [f"int({x.code})" for x in idx]
+        parts[k] = f"_wix({seg.window()}, {i.off}, {i.coef}, {_mangle(name)}.shape[{k}])"
+        return ", ".join(parts), ("[:" + ", None" * len(flats) + "]") if flats else ""
+
+    def _row_gather(self, e: ArrayAccess) -> Optional[str]:
+        """``a[E*K + t]`` (or ``t + E*K``, ``K*E``) read in the flat frame of
+        level ``t`` from 0, for a loop-invariant ``K`` and an ``E`` free of
+        ``t``: a row gather on the array's ``(-1, K)`` view (:func:`_rowg`),
+        or None."""
+        if (
+            self.kind != "flat"
+            or len(e.indices) != 1
+            or _const_int(self.h.lb) != 0
+            or self.strict_levels()
+        ):
+            return None
+        x = e.indices[0]
+        if not (isinstance(x, BinOp) and x.op == "+"):
+            return None
+        for tx, px in ((x.rhs, x.lhs), (x.lhs, x.rhs)):
+            if isinstance(tx, Id) and tx.name == self.h.index and isinstance(px, BinOp):
+                break
+        else:
+            return None
+        if px.op != "*":
+            return None
+        for kx, ex in ((px.rhs, px.lhs), (px.lhs, px.rhs)):
+            if self._clean(kx) and not (_names_in(ex) & ({self.h.index} | set(self.temps))):
+                break
+        else:
+            return None
+        _, ec = self.vexpr(ex)
+        _, kc = self.vexpr(kx)
+        return f"_rowg({_mangle(e.name)}, {ec}, {kc}, {self.index_vec()})"
+
     def _load(self, e: ArrayAccess) -> Tuple[str, str]:
         idx = [self._classify(i) for i in e.indices]
         self._record(e.name, idx, False)
         m = _mangle(e.name)
         if all(i.kind == "scalar" for i in idx):
             return "scalar", f"{m}[{', '.join(f'int({i.code})' for i in idx)}]"
-        sl = self._slice_parts(e.name, idx)
+        sl = self._slice_parts(e.name, idx) or self._window_parts(e.name, idx)
         if sl is None:
-            # gathers copy by construction
-            return "vector", f"{m}[{', '.join(self._vector_parts(idx))}]"
+            # gathers (rows included) copy by construction
+            rows = self._row_gather(e) if idx[0].kind == "vector" else None
+            return "vector", rows or f"{m}[{', '.join(self._vector_parts(idx))}]"
         sub, view = sl
         copy = ".copy()" if e.name in self.root.stored else ""
         return "vector", f"{m}[{sub}]{view}{copy}"
@@ -2231,7 +2469,9 @@ class _Vectorizer:
             return
         self._record(e.name, idx, True)
         m = _mangle(e.name)
-        sl = self._slice_parts(e.name, idx, store=True)
+        sl = self._slice_parts(e.name, idx, store=True) or self._window_parts(
+            e.name, idx, store=True
+        )
         rk, rc = self.vexpr(s.rhs)
         if sl is not None:
             sub, view = sl

@@ -633,3 +633,215 @@ def dense_corpus(
         src = "".join(g.recurrence() for _ in range(g.rng.randint(1, 2)))
         out.append(FuzzProgram(seed=seed, source=src, env=g.env))
     return out
+
+
+# --------------------------------------------------------------------------
+# sparse nests (the segmented windows' and row gathers' differential corpus)
+# --------------------------------------------------------------------------
+
+
+class _SparseGen:
+    """CSR nests over monotone, gapped, overlapping, reversed and empty
+    row windows; windows reached through increasing, permuted or repeated
+    row lists; linearized ``W[e*k + t]`` reads whose trip count matches
+    ``k`` or not; and change-detection fills (the paper's Figure 11), one
+    of them feeding a certified column consumer.  Integer data only; every
+    subscript is in range, except negative rows, which wrap the same way
+    on every backend."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.env: Dict[str, Any] = {}
+        self.counter = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.counter += 1
+        return f"{prefix}{self.counter}"
+
+    def ints(self, size: int, lo: int = -9, hi: int = 9) -> np.ndarray:
+        return np.array([self.rng.randint(lo, hi) for _ in range(size)], dtype=np.int64)
+
+    def array(self, prefix: str, values) -> str:
+        name = self.fresh(prefix)
+        self.env[name] = np.array(values, dtype=np.int64)
+        return name
+
+    def scalar(self, prefix: str, value: int = 0) -> str:
+        name = self.fresh(prefix)
+        self.env[name] = value
+        return name
+
+    def pointer(self, rows: int) -> List[int]:
+        """A row pointer of ``rows + 1`` entries: nondecreasing, all equal
+        (every row empty) or with a dip (a reversed window)."""
+        shape = self.rng.choice(["monotone", "monotone", "reversed", "empty"])
+        rp = [self.rng.randint(0, 2)]
+        for _ in range(rows):
+            step = 0 if shape == "empty" else self.rng.randint(0, 3)
+            if shape == "reversed" and self.rng.random() < 0.3:
+                step = -min(rp[-1], self.rng.randint(1, 3))
+            rp.append(rp[-1] + step)
+        return rp
+
+    def csr(self) -> str:
+        """``y[i] = sum val[c*j + off] * x[col[j]]`` over row windows."""
+        rows = self.rng.randint(3, 8)
+        i, j = self.fresh("i"), self.fresh("j")
+        if self.rng.random() < 0.6:
+            rp = self.pointer(rows)
+            name = self.array("rp", rp)
+            lo, hi, top = f"{name}[{i}]", f"{name}[{i} + 1]", max(rp)
+        else:
+            # separate bounds arrays: gaps between windows, or overlaps
+            gapped = self.rng.random() < 0.5
+            los, his, at = [], [], 0
+            for _ in range(rows):
+                at = at + self.rng.randint(0, 2) if gapped else max(at - self.rng.randint(0, 2), 0)
+                w = self.rng.randint(0, 3)
+                los.append(at)
+                his.append(at + w)
+                at += w
+            lo, hi = f"{self.array('lo', los)}[{i}]", f"{self.array('hi', his)}[{i}]"
+            top = max(his)
+        c, off = self.rng.choice([(1, 0), (1, 0), (2, 0), (1, 1), (3, 2)])
+        sub = j if c == 1 else f"{c} * {j}"
+        sub = f"{sub} + {off}" if off else sub
+        val = self.array("v", self.ints(c * top + off + 1))
+        x = self.array("x", self.ints(rows))
+        col = self.array("c", self.ints(top + 1, 0, rows - 1))
+        t = self.scalar("t")
+        y = self.array("y", [0] * rows)
+        return (
+            f"for ({i} = 0; {i} < {rows}; {i}++) {{\n"
+            f"  {t} = 0;\n"
+            f"  for ({j} = {lo}; {j} < {hi}; {j}++)\n"
+            f"    {t} = {t} + {val}[{sub}] * {x}[{col}[{j}]];\n"
+            f"  {y}[{i}] = {t};\n"
+            f"}}\n"
+        )
+
+    def row_list(self) -> str:
+        """Windows of a monotone row pointer reached through a row list."""
+        nrows = self.rng.randint(3, 7)
+        rp = [0]
+        for _ in range(nrows):
+            rp.append(rp[-1] + self.rng.randint(0, 3))
+        kind = self.rng.choice(["increasing", "permuted", "repeated"])
+        if kind == "increasing":
+            rows = sorted(self.rng.sample(range(nrows), self.rng.randint(1, nrows)))
+        elif kind == "permuted":
+            rows = list(range(nrows))
+            self.rng.shuffle(rows)
+        else:
+            rows = sorted(self.rng.randrange(nrows) for _ in range(nrows))
+        ptr = self.array("rp", rp)
+        lst = self.array("rows", rows)
+        val = self.array("v", self.ints(rp[-1] + 1))
+        z = self.array("z", [0] * len(rows))
+        i, j, m, t = self.fresh("i"), self.fresh("j"), self.scalar("m"), self.scalar("t")
+        return (
+            f"for ({i} = 0; {i} < {len(rows)}; {i}++) {{\n"
+            f"  {m} = {lst}[{i}];\n"
+            f"  {t} = 0;\n"
+            f"  for ({j} = {ptr}[{m}]; {j} < {ptr}[{m} + 1]; {j}++)\n"
+            f"    {t} = {t} + {val}[{j}] * 2;\n"
+            f"  {z}[{i}] = {t};\n"
+            f"}}\n"
+        )
+
+    def row_gather(self) -> str:
+        """``y[i] = sum W[e[i]*k + t] * v[t]`` over ``t < T``, ``T == k``
+        mostly; ``W`` sometimes ends in a partial row, ``e`` sometimes
+        holds negative rows."""
+        k = self.rng.randint(2, 5)
+        trips = k if self.rng.random() < 0.7 else k + self.rng.choice([-1, 1])
+        wrows = self.rng.randint(2, 6)
+        extra = self.rng.randint(1, k - 1) if self.rng.random() < 0.2 else 0
+        low = -(wrows - 1) if self.rng.random() < 0.3 else 0
+        n = self.rng.randint(2, 7)
+        e = self.array("e", self.ints(n, low, wrows - 2))
+        w = self.array("W", self.ints(wrows * k + extra))
+        v = self.array("v", self.ints(trips))
+        y = self.array("y", [0] * n)
+        i, t, s = self.fresh("i"), self.fresh("t"), self.scalar("s")
+        read = self.rng.choice(
+            [f"{e}[{i}] * {k} + {t}", f"{t} + {e}[{i}] * {k}", f"{k} * {e}[{i}] + {t}"]
+        )
+        return (
+            f"for ({i} = 0; {i} < {n}; {i}++) {{\n"
+            f"  {s} = 0;\n"
+            f"  for ({t} = 0; {t} < {trips}; {t}++)\n"
+            f"    {s} = {s} + {w}[{read}] * {v}[{t}];\n"
+            f"  {y}[{i}] = {s};\n"
+            f"}}\n"
+        )
+
+    def change_fill(self) -> str:
+        """``if (v[i] != r) { first[h] = i; h = h + 1; r = v[i]; }``."""
+        n = self.rng.randint(0, 10)
+        runs: List[int] = []
+        while len(runs) < n:
+            runs += [self.rng.randint(-3, 3)] * self.rng.randint(1, 3)
+        v = self.array("v", runs[:n])
+        first = self.array("first", [-1] * (n + 1))
+        h, r = self.scalar("h"), self.scalar("r", self.rng.randint(-3, 3))
+        i = self.fresh("i")
+        cond = f"{v}[{i}] != {r}" if self.rng.random() < 0.5 else f"{r} != {v}[{i}]"
+        return (
+            f"{h} = 0;\n"
+            f"for ({i} = 0; {i} < {n}; {i}++) {{\n"
+            f"  if ({cond}) {{\n"
+            f"    {first}[{h}] = {i};\n"
+            f"    {h} = {h} + 1;\n"
+            f"    {r} = {v}[{i}];\n"
+            f"  }}\n"
+            f"}}\n"
+        )
+
+    def columns(self) -> str:
+        """Figure 11's ``col_ptr`` fill from a sorted column stream, then a
+        Figure 10 consumer over the columns' windows that reads and
+        writes the same array."""
+        nc = self.rng.randint(2, 6)
+        counts = [self.rng.randint(1 if self.rng.random() < 0.8 else 0, 3) for _ in range(nc)]
+        cols = [c for c, m in enumerate(counts) for _ in range(m)] or [0]
+        nnz = len(cols)
+        cv = self.array("cv", cols)
+        cp = self.array("cp", [0] * (nc + 2))
+        p = self.array("p", self.ints(nnz))
+        q = self.array("q", self.ints(nnz))
+        h, r = self.scalar("h"), self.scalar("r")
+        i, c, ind = self.fresh("i"), self.fresh("c"), self.fresh("ind")
+        return (
+            f"{h} = 1; {cp}[0] = 0; {r} = {cv}[0];\n"
+            f"for ({i} = 0; {i} < {nnz}; {i}++) {{\n"
+            f"  if ({cv}[{i}] != {r}) {{\n"
+            f"    {cp}[{h}] = {i};\n"
+            f"    {h} = {h} + 1;\n"
+            f"    {r} = {cv}[{i}];\n"
+            f"  }}\n"
+            f"}}\n"
+            f"{cp}[{nc}] = {nnz};\n"
+            f"for ({c} = 0; {c} < {nc}; {c}++) {{\n"
+            f"  for ({ind} = {cp}[{c}]; {ind} < {cp}[{c} + 1]; {ind}++) {{\n"
+            f"    {p}[{ind}] = {p}[{ind}] * 2 + {q}[{ind}] + {c};\n"
+            f"  }}\n"
+            f"}}\n"
+        )
+
+    SEGMENTS = ("csr", "csr", "row_list", "row_gather", "change_fill", "columns")
+
+    def program(self) -> str:
+        parts = [getattr(self, self.rng.choice(self.SEGMENTS))() for _ in range(self.rng.randint(1, 3))]
+        return "".join(parts)
+
+
+def sparse_corpus(count: int = 80, base_seed: int = 30_000) -> List[FuzzProgram]:
+    """Deterministic sparse-nest programs for the compiled backends'
+    differential test (:class:`_SparseGen`): integer data, so every
+    backend must reproduce the interpreter's final state exactly."""
+    out: List[FuzzProgram] = []
+    for k in range(count):
+        g = _SparseGen(random.Random(base_seed + k))
+        out.append(FuzzProgram(seed=base_seed + k, source=g.program(), env=g.env))
+    return out

@@ -9,6 +9,8 @@ the scalar loop shows up as a failure, not as a slow pass.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -752,6 +754,434 @@ def test_axes_certified_outer_loop_without_a_carried_dependence(backend):
 
 
 # ---------------------------------------------------------------------------
+# monotone windows, row gathers and change-detection scalars
+# ---------------------------------------------------------------------------
+
+
+def _bits_equal(a, b) -> bool:
+    """Same dtype and bytes for arrays (NaN payloads and signed zeros
+    included); same value, and for floats the same bits, for scalars."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, (float, np.floating)) or isinstance(b, (float, np.floating)):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    return a == b
+
+
+@contextlib.contextmanager
+def _spy(cp, helper):
+    """Record ``(args, result)`` of every call the generated code makes to
+    the runtime helper ``helper`` (patched in the kernel's globals)."""
+    ns = cp.fn.__globals__
+    orig, calls = ns[helper], []
+
+    def wrapper(*args):
+        out = orig(*args)
+        calls.append((args, out))
+        return out
+
+    ns[helper] = wrapper
+    try:
+        yield calls
+    finally:
+        ns[helper] = orig
+
+
+def run_bits(src, env, tier, spy="_lanes"):
+    """Interpreter vs compiled: every array and scalar bit-identical and
+    ``tier`` reported.  Returns the recorded calls to helper ``spy``."""
+    prog = parse_program(src)
+    ref = run_program(prog, _deep(env))
+    cp = compile_program(prog)
+    assert cp.backend == "compiled", cp.fallback_reason
+    assert tier in cp.loop_tiers.values(), (cp.loop_tiers, cp.loop_bails, cp.source)
+    with _spy(cp, spy) as calls:
+        out = cp.run(_deep(env))
+    for k, a in ref.items():
+        assert _bits_equal(a, out[k]), f"{k}: interp={a!r} compiled={out[k]!r}\n{cp.source}"
+    return calls
+
+
+def run_certified(src, env):
+    """Exact array parity with the interpreter under ``execute`` with the
+    analysis decisions on compiled, compiled-parallel and auto."""
+    from repro.analysis import AnalysisConfig
+    from repro.parallelizer import parallelize
+    from repro.runtime.compile import execute
+
+    result = parallelize(src, AnalysisConfig.new_algorithm())
+    assert any(d.parallel for d in result.decisions.values())
+    ref = run_program(parse_program(src), _deep(env))
+    for backend in ("compiled", "compiled-parallel", "auto"):
+        out = execute(
+            result.program,
+            _deep(env),
+            decisions=result.decisions,
+            backend=backend,
+            fusions=result.fusions,
+        )
+        for k, a in ref.items():
+            if isinstance(a, np.ndarray):
+                assert _bits_equal(a, out[k]), (backend, k)
+    return result
+
+
+WINDOWS = """
+for (i = 0; i < n; i++) {
+    t = 0;
+    for (j = lo[i]; j < hi[i]; j++)
+        t = t + val[j] * x[col[j]];
+    y[i] = t;
+}
+"""
+
+
+def _windows_env(lo, hi):
+    lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    size = int(max(lo.max(initial=0), hi.max(initial=0))) + 1
+    rng = np.random.default_rng(len(lo))
+    return {
+        "n": len(lo),
+        "lo": lo,
+        "hi": hi,
+        "t": 0,
+        "val": rng.integers(-9, 10, size).astype(np.int64),
+        "col": rng.integers(0, 6, size).astype(np.int64),
+        "x": rng.integers(-5, 6, 6).astype(np.int64),
+        "y": np.zeros(len(lo), dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize(
+    "lo, hi, contiguous",
+    [
+        ([0, 3, 3, 4, 8], [3, 3, 4, 8, 9], True),  # abutting, one empty row
+        ([0, 3, 7], [3, 5, 9], False),  # gap: [5, 7) skipped
+        ([0, 3, 3, 6], [3, 6, 6, 8], False),  # a row listed twice
+        ([0, 4, 2], [4, 2, 6], False),  # abutting ends, but reversed
+        ([5, 5, 5], [5, 5, 5], True),  # all rows empty
+        ([0, 0], [0, 0], True),
+    ],
+    ids=["abutting", "gap", "overlap", "reversed", "all-empty", "all-empty-at-0"],
+)
+def test_windows_slice_only_when_they_abut(lo, hi, contiguous):
+    calls = run_bits(WINDOWS, _windows_env(lo, hi), "segmented", spy="_segwin")
+    assert [isinstance(w, slice) for _, w in calls] == [contiguous]
+
+
+def test_windows_zero_trip_outer_loop():
+    env = _windows_env([0, 2], [2, 4])
+    env["n"] = 0
+    assert run_bits(WINDOWS, env, "segmented", spy="_segwin") == []
+
+
+ROW_LIST = """
+for (i = 0; i < n; i++) {
+    m = rows[i];
+    t = 0;
+    for (j = rp[m]; j < rp[m + 1]; j++)
+        t = t + val[j];
+    z[i] = t;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "rows, contiguous",
+    [
+        ([0, 1, 2, 3, 4], True),  # increasing
+        ([0, 1, 2, 4], True),  # skips row 3, which is empty
+        ([0, 2, 3, 4], False),  # skips row 1, which is not
+        ([3, 0, 4, 1, 2], False),  # permuted
+        ([0, 1, 1, 2], False),  # repeated
+    ],
+    ids=["increasing", "skip-empty", "skip-nonempty", "permuted", "repeated"],
+)
+def test_windows_through_a_row_list(rows, contiguous):
+    env = {
+        "n": len(rows),
+        "rows": np.array(rows, dtype=np.int64),
+        "rp": np.array([0, 2, 5, 5, 5, 9], dtype=np.int64),
+        "val": np.arange(9, dtype=np.int64) * 3 - 7,
+        "z": np.zeros(len(rows), dtype=np.int64),
+        "m": 0,
+        "t": 0,
+    }
+    calls = run_bits(ROW_LIST, env, "segmented", spy="_segwin")
+    assert [isinstance(w, slice) for _, w in calls] == [contiguous]
+
+
+def test_windows_strided_and_offset_subscripts():
+    src = """
+    for (i = 0; i < n; i++) {
+        t = 0;
+        for (j = rp[i]; j < rp[i + 1]; j++)
+            t = t + (val[2 * j] * 3 + val[j + 1]);
+        y[i] = t;
+    }
+    """
+    env = {
+        "n": 4,
+        "rp": np.array([0, 3, 3, 5, 8], dtype=np.int64),
+        "val": np.arange(17, dtype=np.int64) * 5 - 30,
+        "y": np.zeros(4, dtype=np.int64),
+        "t": 0,
+    }
+    calls = run_bits(src, env, "segmented", spy="_wix")
+    assert [out for _, out in calls] == [slice(0, 16, 2), slice(1, 9, 1)]
+
+
+@pytest.mark.parametrize("shift, faults", [("+ 1", True), ("- 1", False)])
+def test_windows_subscripts_out_of_range_take_the_gather(shift, faults):
+    # j + 1 overruns val at the last window's end: the gather raises as
+    # the interpreter does, where a slice would silently truncate; j - 1
+    # starts at -1, which the gather wraps exactly as the interpreter does
+    src = f"""
+    for (i = 0; i < n; i++) {{
+        t = 0;
+        for (j = rp[i]; j < rp[i + 1]; j++)
+            t = t + val[j {shift}];
+        y[i] = t;
+    }}
+    """
+    env = {
+        "n": 3,
+        "rp": np.array([0, 2, 5, 7], dtype=np.int64),
+        "val": np.arange(7, dtype=np.int64) + 1,
+        "y": np.zeros(3, dtype=np.int64),
+        "t": 0,
+    }
+    if not faults:
+        calls = run_bits(src, env, "segmented", spy="_wix")
+        assert [isinstance(out, slice) for _, out in calls] == [False]
+        return
+    prog = parse_program(src)
+    with pytest.raises(InterpError):
+        run_program(prog, _deep(env))
+    cp = compile_program(prog)
+    with _spy(cp, "_wix") as calls, pytest.raises(InterpError):
+        cp.run(_deep(env))
+    assert [isinstance(out, slice) for _, out in calls] == [False]
+
+
+# the paper's Figure 11 fill (change detection + counter) and a certified
+# consumer whose window load reads an array the loop also stores
+CSC_COPY = """
+h = 1; cp[0] = 0; r = cv[0];
+for (i = 0; i < nnz; i++) {
+    if (cv[i] != r) {
+        cp[h] = i;
+        h = h + 1;
+        r = cv[i];
+    }
+}
+cp[nc] = nnz;
+for (c = 0; c < nc; c++) {
+    for (ind = cp[c]; ind < cp[c + 1]; ind++) {
+        t = p[ind];
+        p[ind] = c;
+        q[ind] = t * 2;
+    }
+}
+"""
+
+
+def _csc_env():
+    cols = np.repeat(np.arange(5), [3, 1, 4, 2, 2])
+    return {
+        "nnz": len(cols),
+        "nc": 5,
+        "cv": cols.astype(np.int64),
+        "cp": np.zeros(7, dtype=np.int64),
+        "p": np.arange(len(cols), dtype=np.int64) * 7 - 20,
+        "q": np.zeros(len(cols), dtype=np.int64),
+        "h": 0,
+        "r": 0,
+        "t": 0,
+    }
+
+
+def test_windows_load_of_a_stored_array_is_copied():
+    result = run_certified(CSC_COPY, _csc_env())
+    cp = compile_program(result.program, result.decisions)
+    assert sorted(cp.loop_tiers.values()) == ["masked", "segmented"], cp.loop_bails
+    with _spy(cp, "_segwin") as calls:
+        out = cp.run(_deep(_csc_env()))
+    assert [isinstance(w, slice) for _, w in calls] == [True]
+    assert np.array_equal(out["q"], (np.arange(12) * 7 - 20) * 2)
+
+
+ROW_GATHER = """
+for (i = 0; i < n; i++) {
+    s = 0;
+    for (t = 0; t < T; t++)
+        s = s + W[e[i] * 4 + t] * v[t];
+    y[i] = s;
+}
+"""
+
+
+def _row_env(e, width=4, rows=5, trips=4):
+    e = np.asarray(e)
+    return {
+        "n": len(e),
+        "e": e,
+        "W": np.arange(rows * 4 + width - 4, dtype=np.int64) * 3 - 11,
+        "v": np.arange(4, dtype=np.int64) + 1,
+        "y": np.zeros(len(e), dtype=np.int64),
+        "s": 0,
+        "t": 0,
+    }
+
+
+def _rows_taken(calls):
+    return [
+        j.shape[0] == k and arr.shape[0] % k == 0 and np.asarray(e).dtype.kind == "i"
+        for (arr, e, k, j), _ in calls
+    ]
+
+
+@pytest.mark.parametrize(
+    "src_trips, env, rows",
+    [
+        ("4", _row_env([0, 3, 1, 4, 4]), True),
+        ("3", _row_env([0, 3, 1, 4]), False),  # T != K
+        ("4", _row_env([0, 3, 1], width=6), False),  # len % K != 0
+        ("4", _row_env([0, -1, -5, 2]), True),  # negative rows wrap
+        ("4", _row_env(np.array([0.6, 2.5, 3.99])), False),  # float e truncates late
+    ],
+    ids=["rows", "T-ne-K", "ragged-length", "negative-row", "float-e"],
+)
+def test_row_gather_only_over_whole_rows(src_trips, env, rows):
+    src = ROW_GATHER.replace("t < T", f"t < {src_trips}")
+    calls = run_bits(src, env, "flattened", spy="_rowg")
+    assert _rows_taken(calls) == [rows]
+
+
+def test_row_gather_out_of_range_row_faults_like_the_gather():
+    src = ROW_GATHER.replace("t < T", "t < 4")
+    env = _row_env([0, 5])
+    prog = parse_program(src)
+    with pytest.raises(InterpError):
+        run_program(prog, _deep(env))
+    with pytest.raises(InterpError):
+        compile_program(prog).run(_deep(env))
+
+
+def test_row_gather_in_a_segmented_nest():
+    # SDDMM's shape: W by the outer row, H by a row index read through the
+    # window, over a symbolic rank k
+    src = """
+    for (r = 0; r < nc; r++) {
+        acc = 0;
+        for (ind = cp[r]; ind < cp[r + 1]; ind++) {
+            for (t = 0; t < k; t++)
+                acc = acc + W[r * k + t] * H[ri[ind] * k + t] * nv[ind];
+        }
+        z[r] = acc;
+    }
+    """
+    rng = np.random.default_rng(41)
+    env = {
+        "nc": 4,
+        "k": 3,
+        "cp": np.array([0, 2, 2, 5, 6], dtype=np.int64),
+        "ri": rng.integers(0, 7, 6).astype(np.int64),
+        "nv": rng.integers(-3, 4, 6).astype(np.int64),
+        "W": rng.integers(-5, 6, 12).astype(np.int64),
+        "H": rng.integers(-5, 6, 21).astype(np.int64),
+        "z": np.zeros(4, dtype=np.int64),
+        "acc": 0,
+        "t": 0,
+    }
+    calls = run_bits(src, env, "segmented", spy="_rowg")
+    assert _rows_taken(calls) == [True, True]
+
+
+CHANGE_FILL = """
+h = 0;
+for (i = 0; i < n; i++) {
+    if (v[i] != r) {
+        first[h] = i;
+        h = h + 1;
+        r = v[i];
+    }
+}
+"""
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "v, r",
+    [
+        ([4, 4, 4, 4], 4),  # no lane changes
+        ([1, 2, 3, 4, 5], 0),  # every lane changes
+        ([3, 3, 5, 5, 5, 1, 1, 3], 3),
+        ([0.0, -0.0, -0.0, NAN, NAN, 1.0, 1.0, -0.0, 0.0], 0.0),
+        ([NAN, NAN, 2.0], NAN),
+        ([-0.0, 0.0, 0.0], 1.0),  # r ends -0.0, not the last lane's 0.0
+        ([], 7),  # zero-trip loop
+    ],
+    ids=["no-change", "all-change", "int-runs", "float-nan-signed-zero", "nan-entry",
+         "signed-zero-export", "zero-trip"],
+)
+def test_change_detection_fill(v, r):
+    v = np.array(v, dtype=np.float64 if isinstance(r, float) else np.int64)
+    env = {"n": len(v), "v": v, "r": r, "h": 0, "first": np.full(max(len(v), 1), -1)}
+    calls = run_bits(CHANGE_FILL, env, "masked", spy="_chg")
+    assert len(calls) == (1 if len(v) else 0)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # r read outside its guard
+        "if (v[i] != r) { first[h] = i; h = h + 1; r = v[i]; } w[i] = r;",
+        # r assigned twice
+        "if (v[i] != r) { first[h] = i; h = h + 1; r = v[i]; r = v[i]; }",
+        "if (v[i] != r) { first[h] = i; h = h + 1; r = v[i]; } if (v[i] > 2) r = v[i];",
+        "if (v[i] > 2) r = 0; if (v[i] != r) { first[h] = i; h = h + 1; r = v[i]; }",
+        # the update is not the guarded expression
+        "if (v[i] != r) { first[h] = i; h = h + 1; r = v[i] + 1; }",
+    ],
+    ids=["read-outside", "assigned-twice", "assigned-after", "assigned-before", "other-value"],
+)
+def test_change_detection_keeps_the_bail(body):
+    src = f"h = 0;\nfor (i = 0; i < n; i++) {{ {body} }}\n"
+    v = np.array([1, 1, 3, 2, 2, 5], dtype=np.int64)
+    env = {"n": 6, "v": v, "r": 0, "h": 0, "first": np.full(6, -1), "w": np.zeros(6, dtype=np.int64)}
+    run_bits(src, env, "scalar")
+    cp = compile_program(parse_program(src))
+    assert list(cp.loop_bails.values()) == ["loop-carried scalar"]
+
+
+def test_change_detection_fill_feeds_a_certified_consumer():
+    # the whole Figure 10/11 pair under decisions on every compiled backend
+    result = run_certified(CSC_COPY, _csc_env())
+    cp = compile_program(result.program, result.decisions)
+    fill = result.program.stmts[3].loop_id
+    assert cp.loop_tiers[fill] == "masked"
+
+
+def test_counter_check_bounds_the_last_stored_index():
+    # column 2 is empty, so the fill stores cp[1..3] and ends with h = 4:
+    # cp[4] keeps its stale 0 and column 4's window [0, 12) overlaps every
+    # other one.  The consumer's check -1+nc <= h_max must read h_max as
+    # the last index stored (3), fail, and leave the nest serial
+    env = _csc_env()
+    cols = np.repeat(np.arange(5), [3, 1, 0, 4, 4]).astype(np.int64)
+    env.update(nnz=len(cols), cv=cols)
+    run_certified(CSC_COPY, env)
+
+
+# ---------------------------------------------------------------------------
 # registry tier pins + inspector weights
 # ---------------------------------------------------------------------------
 
@@ -777,6 +1207,33 @@ def test_registry_benchmarks_achieve_expected_tiers():
                 f"{bench.name}: expected >= {n} {tier} loop(s), got {dict(got)} "
                 f"(bails: {cp.loop_bails})"
             )
+
+
+def test_registry_outputs_bit_identical_across_compiled_backends():
+    # at small scale every kernel's final state is the same bits whichever
+    # compiled backend runs it (the pool's chunked reductions included)
+    from repro.analysis import AnalysisConfig
+    from repro.benchmarks import all_benchmarks
+    from repro.parallelizer import parallelize
+    from repro.runtime.compile import execute
+
+    for bench in all_benchmarks():
+        result = parallelize(bench.source, AnalysisConfig.new_algorithm())
+        env = bench.small_env()
+        outs = {
+            backend: execute(
+                result.program,
+                _deep(env),
+                decisions=result.decisions,
+                backend=backend,
+                fusions=result.fusions,
+            )
+            for backend in ("compiled", "compiled-parallel", "auto")
+        }
+        ref = outs["compiled"]
+        for backend in ("compiled-parallel", "auto"):
+            for k, a in ref.items():
+                assert _bits_equal(a, outs[backend][k]), (bench.name, backend, k)
 
 
 def test_ua_transf_lowers_without_lane_expansion():
